@@ -19,6 +19,7 @@ use predictors::{
 };
 use workloads::{Benchmark, DynInst, OpClass, SyntheticSource, TraceSource};
 
+use crate::memo::RunMemo;
 use crate::pipe::pipeline_trace_len;
 use crate::RunParams;
 
@@ -161,14 +162,25 @@ pub fn fig18_on(
     params: RunParams,
     markov: MarkovConfig,
 ) -> Vec<Fig18Row> {
-    Benchmark::ALL
-        .into_iter()
-        .map(|bench| fig18_bench(source, bench, params, markov))
-        .collect()
+    crate::memo::per_bench_on(source, params, |memo, bench, params| {
+        fig18_bench(memo, bench, params, markov)
+    })
 }
 
 /// One benchmark's Figure 18 row — the independently schedulable cell.
+/// Both panels (all loads, missing loads) come from the same row, so
+/// `fig18a` and `fig18b` share one run through the memo.
 pub fn fig18_bench(
+    memo: &RunMemo,
+    bench: Benchmark,
+    params: RunParams,
+    markov: MarkovConfig,
+) -> Fig18Row {
+    memo.fig18(bench, params, markov)
+}
+
+/// The uncached Figure 18 run [`RunMemo::fig18`] computes.
+pub(crate) fn fig18_run(
     source: &dyn TraceSource,
     bench: Benchmark,
     params: RunParams,

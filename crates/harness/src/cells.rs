@@ -5,11 +5,16 @@
 //! order and hands them to the matching [`render`](crate::render) function.
 //! Single-measurement experiments (`fig1`, `fig12`) are one-cell plans, so
 //! the scheduler treats every experiment uniformly.
+//!
+//! Every plan of one invocation reads the same [`RunMemo`], so a run that
+//! several experiments need (the no-VP baseline, the order-8 gDiff
+//! profile, the Figure 18 rows) is simulated once.
 
 use obs::{JsonValue, Registry};
 use predictors::MarkovConfig;
-use workloads::{Benchmark, TraceSource};
+use workloads::Benchmark;
 
+use crate::memo::RunMemo;
 use crate::render;
 use crate::sched::{Cell, CellOutput, ExperimentPlan};
 use crate::RunParams;
@@ -58,40 +63,41 @@ fn single<'a, T: Send + 'static>(
 /// order.
 fn per_bench<'a, T: Send + 'static>(
     exp: &str,
-    source: &'a dyn TraceSource,
+    memo: &'a RunMemo<'a>,
     params: RunParams,
-    run: impl Fn(&dyn TraceSource, Benchmark, RunParams) -> T + Copy + Send + 'a,
+    run: impl Fn(&RunMemo, Benchmark, RunParams) -> T + Copy + Send + 'a,
     render: impl FnOnce(&[T]) -> (String, JsonValue) + 'a,
 ) -> ExperimentPlan<'a> {
     let cells = Benchmark::ALL
         .into_iter()
         .map(|bench| {
             Cell::new(format!("{exp}/{bench}"), move |_reg: &mut Registry| {
-                run(source, bench, params)
+                run(memo, bench, params)
             })
         })
         .collect();
     ExperimentPlan::new(exp, cells, move |outs| render(&collect::<T>(outs)))
 }
 
-/// Builds the plan for one validated experiment name.
+/// Builds the plan for one validated experiment name. Its runs go through
+/// `memo`, which the caller shares across every plan of the invocation.
 ///
 /// # Panics
 ///
 /// On a name not in [`ALL_EXPERIMENTS`] — callers validate names first.
 pub fn plan_for<'a>(
     exp: &str,
-    source: &'a dyn TraceSource,
+    memo: &'a RunMemo<'a>,
     profile: RunParams,
     pipeline: RunParams,
 ) -> ExperimentPlan<'a> {
     match exp {
         "fig1" => single(
             exp,
-            move |_reg| crate::fig1_on(source, profile),
+            move |_reg| crate::fig1_on(memo.source(), profile),
             render::render_fig1,
         ),
-        "fig8" => per_bench(exp, source, profile, crate::fig8_bench, |r| {
+        "fig8" => per_bench(exp, memo, profile, crate::fig8_bench, |r| {
             render::render_fig8(r)
         }),
         "fig9" => {
@@ -101,50 +107,50 @@ pub fn plan_for<'a>(
                 .into_iter()
                 .map(|bench| {
                     Cell::new(format!("{exp}/{bench}"), move |reg: &mut Registry| {
-                        crate::fig9_bench_obs(source, bench, profile, reg)
+                        crate::fig9_bench_obs(memo, bench, profile, reg)
                     })
                 })
                 .collect();
             ExperimentPlan::new(exp, cells, |outs| render::render_fig9(&collect(outs)))
         }
-        "fig10" => per_bench(exp, source, profile, crate::fig10_bench, |r| {
+        "fig10" => per_bench(exp, memo, profile, crate::fig10_bench, |r| {
             render::render_fig10(r)
         }),
         "fig12" => single(
             exp,
-            move |_reg| crate::fig12_on(source, pipeline),
+            move |_reg| crate::fig12_cell(memo, pipeline),
             render::render_fig12,
         ),
-        "fig13" => per_bench(exp, source, pipeline, crate::fig13_bench, |r| {
+        "fig13" => per_bench(exp, memo, pipeline, crate::fig13_bench, |r| {
             render::render_fig13(r)
         }),
-        "fig16" => per_bench(exp, source, pipeline, crate::fig16_bench, |r| {
+        "fig16" => per_bench(exp, memo, pipeline, crate::fig16_bench, |r| {
             render::render_fig16(r)
         }),
         "fig18a" => per_bench(
             exp,
-            source,
+            memo,
             pipeline,
-            |s, b, p| crate::fig18_bench(s, b, p, MarkovConfig::paper_256k()),
+            |m, b, p| crate::fig18_bench(m, b, p, MarkovConfig::paper_256k()),
             |r| render::render_fig18(r, false),
         ),
         "fig18b" => per_bench(
             exp,
-            source,
+            memo,
             pipeline,
-            |s, b, p| crate::fig18_bench(s, b, p, MarkovConfig::paper_256k()),
+            |m, b, p| crate::fig18_bench(m, b, p, MarkovConfig::paper_256k()),
             |r| render::render_fig18(r, true),
         ),
-        "table2" => per_bench(exp, source, pipeline, crate::table2_bench, |r| {
+        "table2" => per_bench(exp, memo, pipeline, crate::table2_bench, |r| {
             render::render_table2(r)
         }),
-        "fig19" => per_bench(exp, source, pipeline, crate::fig19_bench, |r| {
+        "fig19" => per_bench(exp, memo, pipeline, crate::fig19_bench, |r| {
             render::render_fig19(r)
         }),
-        "ablate-queue" => per_bench(exp, source, profile, crate::ablate_queue_bench, |r| {
+        "ablate-queue" => per_bench(exp, memo, profile, crate::ablate_queue_bench, |r| {
             render::render_ablate_queue(r)
         }),
-        "ablate-filler" => per_bench(exp, source, pipeline, crate::ablate_filler_bench, |r| {
+        "ablate-filler" => per_bench(exp, memo, pipeline, crate::ablate_filler_bench, |r| {
             render::render_ablate_filler(r)
         }),
         "ablate-confidence" => {
@@ -152,7 +158,7 @@ pub fn plan_for<'a>(
                 .into_iter()
                 .map(|thr| {
                     Cell::new(format!("{exp}/t{thr}"), move |_reg: &mut Registry| {
-                        crate::ablate_confidence_point(source, thr, pipeline)
+                        crate::ablate_confidence_point(memo, thr, pipeline)
                     })
                 })
                 .collect();
@@ -165,7 +171,7 @@ pub fn plan_for<'a>(
                 .into_iter()
                 .map(|point| {
                     Cell::new(format!("{exp}/d{}", point.0), move |_reg: &mut Registry| {
-                        crate::ablate_depth_point(source, point, pipeline)
+                        crate::ablate_depth_point(memo, point, pipeline)
                     })
                 })
                 .collect();
@@ -173,10 +179,10 @@ pub fn plan_for<'a>(
                 render::render_ablate_depth(&collect(outs))
             })
         }
-        "prefetch" => per_bench(exp, source, pipeline, crate::prefetch_bench, |r| {
+        "prefetch" => per_bench(exp, memo, pipeline, crate::prefetch_bench, |r| {
             render::render_prefetch(r)
         }),
-        "limit" => per_bench(exp, source, pipeline, crate::limit_bench, |r| {
+        "limit" => per_bench(exp, memo, pipeline, crate::limit_bench, |r| {
             render::render_limit(r)
         }),
         other => unreachable!("unknown experiment: {other}"),
@@ -191,8 +197,9 @@ mod tests {
     #[test]
     fn every_experiment_has_a_plan_with_cells() {
         let src = SyntheticSource::new(42);
+        let memo = RunMemo::new(&src);
         for exp in ALL_EXPERIMENTS {
-            let plan = plan_for(exp, &src, RunParams::tiny(), RunParams::tiny());
+            let plan = plan_for(exp, &memo, RunParams::tiny(), RunParams::tiny());
             assert_eq!(plan.name, exp);
             assert!(plan.cell_count() >= 1, "{exp} has no cells");
         }
@@ -201,16 +208,17 @@ mod tests {
     #[test]
     fn multi_bench_experiments_fan_out_per_benchmark() {
         let src = SyntheticSource::new(42);
-        let plan = plan_for("fig8", &src, RunParams::tiny(), RunParams::tiny());
+        let memo = RunMemo::new(&src);
+        let plan = plan_for("fig8", &memo, RunParams::tiny(), RunParams::tiny());
         assert_eq!(plan.cell_count(), Benchmark::ALL.len());
         let plan = plan_for(
             "ablate-confidence",
-            &src,
+            &memo,
             RunParams::tiny(),
             RunParams::tiny(),
         );
         assert_eq!(plan.cell_count(), 4);
-        let plan = plan_for("fig1", &src, RunParams::tiny(), RunParams::tiny());
+        let plan = plan_for("fig1", &memo, RunParams::tiny(), RunParams::tiny());
         assert_eq!(plan.cell_count(), 1);
     }
 }

@@ -18,9 +18,10 @@
 //! [`SCHEMA`] JSON are byte-identical for every `--jobs` value.
 
 use obs::{JsonValue, Provenance};
-use pipeline::{HgvqEngine, LocalEngine, SgvqEngine, SimStats, VpEngine};
+use pipeline::SimStats;
 use workloads::{Benchmark, TraceSource};
 
+use crate::memo::EngineSpec;
 use crate::pipe::run_pipeline_with_provenance;
 use crate::report::{pct, Table};
 use crate::sched::{Cell, CellOutput, ExperimentPlan};
@@ -54,10 +55,10 @@ pub struct ExplainCell {
     pub stride_prov: Provenance,
 }
 
-fn engine_for(exp: &str) -> Option<fn() -> Box<dyn VpEngine>> {
+fn engine_for(exp: &str) -> Option<EngineSpec> {
     match exp {
-        "fig13" => Some(|| Box::new(SgvqEngine::paper_default())),
-        "fig16" => Some(|| Box::new(HgvqEngine::paper_default())),
+        "fig13" => Some(EngineSpec::Sgvq),
+        "fig16" => Some(EngineSpec::paper_hgvq()),
         _ => None,
     }
 }
@@ -67,11 +68,12 @@ pub fn explain_cell(
     source: &dyn TraceSource,
     bench: Benchmark,
     params: RunParams,
-    gdiff: fn() -> Box<dyn VpEngine>,
+    gdiff: EngineSpec,
 ) -> ExplainCell {
-    let (gdiff_stats, gdiff_prov) = run_pipeline_with_provenance(source, bench, gdiff(), params);
+    let (gdiff_stats, gdiff_prov) =
+        run_pipeline_with_provenance(source, bench, gdiff.build(), params);
     let (stride, stride_prov) =
-        run_pipeline_with_provenance(source, bench, Box::new(LocalEngine::stride_8k()), params);
+        run_pipeline_with_provenance(source, bench, EngineSpec::Stride8k.build(), params);
     ExplainCell {
         bench,
         gdiff: gdiff_stats,

@@ -35,6 +35,7 @@ pub mod cells;
 pub mod explain;
 pub mod grid;
 pub mod hotpath;
+pub mod memo;
 pub mod pipe;
 pub mod profile;
 pub mod record;
@@ -49,13 +50,15 @@ pub use benchdiff::{diff_reports, DiffReport, DiffRow, DEFAULT_THRESHOLD_PCT};
 pub use explain::{explain_cell, explain_plan, ExplainCell, EXPLAIN_EXPERIMENTS};
 pub use grid::{GridCell, GridSpec};
 pub use hotpath::{hotpath_json, hotpath_text, measure_hotpath, HotpathPoint, HOTPATH_ORDERS};
+pub use memo::{EngineSpec, RunCounts, RunMemo};
 pub use pipe::{
     ablate_confidence, ablate_confidence_on, ablate_confidence_point, ablate_confidence_thresholds,
     ablate_depth, ablate_depth_on, ablate_depth_point, ablate_depth_points, ablate_filler,
-    ablate_filler_bench, ablate_filler_on, fig12, fig12_on, fig13, fig13_bench, fig13_on, fig16,
-    fig16_bench, fig16_on, fig19, fig19_bench, fig19_on, limit, limit_bench, limit_on, prefetch,
-    prefetch_bench, prefetch_on, table2, table2_bench, table2_on, ConfidenceRow, DelayDistribution,
-    DepthRow, FillerRow, LimitRow, PipelineVpRow, PrefetchRow, SpeedupRow,
+    ablate_filler_bench, ablate_filler_on, fig12, fig12_cell, fig12_on, fig13, fig13_bench,
+    fig13_on, fig16, fig16_bench, fig16_on, fig19, fig19_bench, fig19_on, limit, limit_bench,
+    limit_on, prefetch, prefetch_bench, prefetch_on, table2, table2_bench, table2_on,
+    ConfidenceRow, DelayDistribution, DepthRow, FillerRow, LimitRow, PipelineVpRow, PrefetchRow,
+    SpeedupRow,
 };
 pub use profile::{
     ablate_queue, ablate_queue_bench, ablate_queue_on, fig1, fig10, fig10_bench, fig10_on, fig1_on,
@@ -77,7 +80,7 @@ pub use sweep::{
 /// The paper simulates 500M–1B instructions per benchmark; the defaults
 /// here are sized for minutes-not-hours turnaround while staying deep into
 /// steady state. All experiments are deterministic for a given seed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RunParams {
     /// Workload seed.
     pub seed: u64,

@@ -31,7 +31,7 @@ use harness::record::{open_replay, record};
 use harness::report::{RunReport, Table};
 use harness::sched::{default_jobs, run_plans, run_plans_live};
 use harness::serve_cli;
-use harness::RunParams;
+use harness::{RunMemo, RunParams};
 use obs::trace::tracer;
 use obs::{JsonValue, Registry, Sampler, SharedRegistry};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -391,10 +391,13 @@ fn execute(x: Execution<'_>) {
         )
     });
 
+    // One memo for the whole invocation: a run several experiments need
+    // is simulated once, whichever cell asks first.
+    let memo = RunMemo::new(x.source);
     let plans = x
         .selected
         .iter()
-        .map(|exp| plan_for(exp, x.source, x.profile, x.pipeline))
+        .map(|exp| plan_for(exp, &memo, x.profile, x.pipeline))
         .collect();
     let mut report = RunReport::new(x.seed, x.scale);
     let mut master = Registry::new();
@@ -478,7 +481,8 @@ fn execute(x: Execution<'_>) {
         "scheduler",
         JsonValue::object()
             .with("jobs", x.jobs as u64)
-            .with("cells", cells as u64),
+            .with("cells", cells as u64)
+            .with("runs", memo.counts().to_json()),
     );
     report.add_section("metrics", master.to_json());
     if x.hotpath {
@@ -855,9 +859,10 @@ fn main_export_metrics(args: Vec<String>) {
     profile.seed = seed;
     pipelinep.seed = seed;
     let source = SyntheticSource::new(seed);
+    let memo = RunMemo::new(&source);
     let plans = selected
         .iter()
-        .map(|exp| plan_for(exp, &source, profile, pipelinep))
+        .map(|exp| plan_for(exp, &memo, profile, pipelinep))
         .collect();
     let mut master = Registry::new();
     run_plans(
@@ -869,6 +874,7 @@ fn main_export_metrics(args: Vec<String>) {
             eprintln!("[{} took {:.1}s]\n", res.name, res.busy.as_secs_f64());
         },
     );
+    memo.counts().publish(&mut master);
     let text = obs::expose::prometheus(&master, &obs::span::snapshot());
     match &out {
         Some(dest) => {

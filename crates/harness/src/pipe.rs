@@ -1,14 +1,10 @@
 //! Pipeline experiments (§4, §5, §7): Figures 12, 13, 16, 19, Table 2 and
 //! the pipeline-side ablations.
 
-use gdiff::HgvqPredictor;
-use pipeline::{
-    GDiffPrefetcher, HgvqEngine, LocalEngine, NextLinePrefetcher, NoVp, OracleEngine,
-    PipelineConfig, Prefetcher, SgvqEngine, SimStats, Simulator, StridePrefetcher, VpEngine,
-};
-use predictors::{Capacity, ConfidenceConfig, LastValuePredictor, StridePredictor};
+use pipeline::{PipelineConfig, Prefetcher, SimStats, Simulator, VpEngine};
 use workloads::{Benchmark, SyntheticSource, TraceSource};
 
+use crate::memo::{per_bench_on, EngineSpec, PrefetchSpec, RunMemo};
 use crate::RunParams;
 
 /// The raw-instruction prefix a pipeline experiment consumes: warmup +
@@ -125,8 +121,13 @@ pub fn fig12(params: RunParams) -> DelayDistribution {
 
 /// [`fig12`] against an explicit instruction origin.
 pub fn fig12_on(source: &dyn TraceSource, params: RunParams) -> DelayDistribution {
+    fig12_cell(&RunMemo::new(source), params)
+}
+
+/// Figure 12 through a shared run memo — the schedulable cell.
+pub fn fig12_cell(memo: &RunMemo, params: RunParams) -> DelayDistribution {
     let bench = Benchmark::Vortex;
-    let stats = run_pipeline_on(source, bench, Box::new(NoVp), params);
+    let stats = memo.pipeline(bench, EngineSpec::NoVp, params);
     DelayDistribution {
         bench,
         fractions: (0..=20).map(|d| stats.delays.fraction(d)).collect(),
@@ -158,29 +159,17 @@ pub struct PipelineVpRow {
     pub context_coverage: f64,
 }
 
-fn vp_comparison(
-    source: &dyn TraceSource,
-    params: RunParams,
-    gdiff: fn() -> Box<dyn VpEngine>,
-    with_context: bool,
-) -> Vec<PipelineVpRow> {
-    Benchmark::ALL
-        .into_iter()
-        .map(|bench| vp_comparison_bench(source, bench, params, gdiff, with_context))
-        .collect()
-}
-
 fn vp_comparison_bench(
-    source: &dyn TraceSource,
+    memo: &RunMemo,
     bench: Benchmark,
     params: RunParams,
-    gdiff: fn() -> Box<dyn VpEngine>,
+    gdiff: EngineSpec,
     with_context: bool,
 ) -> PipelineVpRow {
-    let g = run_pipeline_on(source, bench, gdiff(), params);
-    let s = run_pipeline_on(source, bench, Box::new(LocalEngine::stride_8k()), params);
+    let g = memo.pipeline(bench, gdiff, params);
+    let s = memo.pipeline(bench, EngineSpec::Stride8k, params);
     let (ca, cc) = if with_context {
-        let c = run_pipeline_on(source, bench, Box::new(LocalEngine::dfcm_8k()), params);
+        let c = memo.pipeline(bench, EngineSpec::Dfcm8k, params);
         (c.vp.gated_accuracy(), c.vp.coverage())
     } else {
         (0.0, 0.0)
@@ -197,25 +186,13 @@ fn vp_comparison_bench(
 }
 
 /// One benchmark's Figure 13 row — the independently schedulable cell.
-pub fn fig13_bench(source: &dyn TraceSource, bench: Benchmark, params: RunParams) -> PipelineVpRow {
-    vp_comparison_bench(
-        source,
-        bench,
-        params,
-        || Box::new(SgvqEngine::paper_default()),
-        false,
-    )
+pub fn fig13_bench(memo: &RunMemo, bench: Benchmark, params: RunParams) -> PipelineVpRow {
+    vp_comparison_bench(memo, bench, params, EngineSpec::Sgvq, false)
 }
 
 /// One benchmark's Figure 16 row — the independently schedulable cell.
-pub fn fig16_bench(source: &dyn TraceSource, bench: Benchmark, params: RunParams) -> PipelineVpRow {
-    vp_comparison_bench(
-        source,
-        bench,
-        params,
-        || Box::new(HgvqEngine::paper_default()),
-        true,
-    )
+pub fn fig16_bench(memo: &RunMemo, bench: Benchmark, params: RunParams) -> PipelineVpRow {
+    vp_comparison_bench(memo, bench, params, EngineSpec::paper_hgvq(), true)
 }
 
 /// Regenerates Figure 13: gDiff with the *speculative* GVQ (order 32)
@@ -226,12 +203,7 @@ pub fn fig13(params: RunParams) -> Vec<PipelineVpRow> {
 
 /// [`fig13`] against an explicit instruction origin.
 pub fn fig13_on(source: &dyn TraceSource, params: RunParams) -> Vec<PipelineVpRow> {
-    vp_comparison(
-        source,
-        params,
-        || Box::new(SgvqEngine::paper_default()),
-        false,
-    )
+    per_bench_on(source, params, fig13_bench)
 }
 
 /// Regenerates Figure 16: gDiff with the *hybrid* GVQ (order 32) vs local
@@ -242,12 +214,7 @@ pub fn fig16(params: RunParams) -> Vec<PipelineVpRow> {
 
 /// [`fig16`] against an explicit instruction origin.
 pub fn fig16_on(source: &dyn TraceSource, params: RunParams) -> Vec<PipelineVpRow> {
-    vp_comparison(
-        source,
-        params,
-        || Box::new(HgvqEngine::paper_default()),
-        true,
-    )
+    per_bench_on(source, params, fig16_bench)
 }
 
 // ---------------------------------------------------------------------
@@ -261,22 +228,12 @@ pub fn table2(params: RunParams) -> Vec<(Benchmark, f64)> {
 
 /// [`table2`] against an explicit instruction origin.
 pub fn table2_on(source: &dyn TraceSource, params: RunParams) -> Vec<(Benchmark, f64)> {
-    Benchmark::ALL
-        .into_iter()
-        .map(|b| table2_bench(source, b, params))
-        .collect()
+    per_bench_on(source, params, table2_bench)
 }
 
 /// One benchmark's baseline IPC — the independently schedulable cell.
-pub fn table2_bench(
-    source: &dyn TraceSource,
-    bench: Benchmark,
-    params: RunParams,
-) -> (Benchmark, f64) {
-    (
-        bench,
-        run_pipeline_on(source, bench, Box::new(NoVp), params).ipc(),
-    )
+pub fn table2_bench(memo: &RunMemo, bench: Benchmark, params: RunParams) -> (Benchmark, f64) {
+    (bench, memo.pipeline(bench, EngineSpec::NoVp, params).ipc())
 }
 
 /// Speedups of value speculation over the baseline — Figure 19.
@@ -301,18 +258,16 @@ pub fn fig19(params: RunParams) -> Vec<SpeedupRow> {
 
 /// [`fig19`] against an explicit instruction origin.
 pub fn fig19_on(source: &dyn TraceSource, params: RunParams) -> Vec<SpeedupRow> {
-    Benchmark::ALL
-        .into_iter()
-        .map(|bench| fig19_bench(source, bench, params))
-        .collect()
+    per_bench_on(source, params, fig19_bench)
 }
 
 /// One benchmark's Figure 19 row — the independently schedulable cell.
-pub fn fig19_bench(source: &dyn TraceSource, bench: Benchmark, params: RunParams) -> SpeedupRow {
-    let base = run_pipeline_on(source, bench, Box::new(NoVp), params).ipc();
-    let st = run_pipeline_on(source, bench, Box::new(LocalEngine::stride_8k()), params).ipc();
-    let cx = run_pipeline_on(source, bench, Box::new(LocalEngine::dfcm_8k()), params).ipc();
-    let gd = run_pipeline_on(source, bench, Box::new(HgvqEngine::paper_default()), params).ipc();
+pub fn fig19_bench(memo: &RunMemo, bench: Benchmark, params: RunParams) -> SpeedupRow {
+    let ipc = |engine| memo.pipeline(bench, engine, params).ipc();
+    let base = ipc(EngineSpec::NoVp);
+    let st = ipc(EngineSpec::Stride8k);
+    let cx = ipc(EngineSpec::Dfcm8k);
+    let gd = ipc(EngineSpec::paper_hgvq());
     SpeedupRow {
         bench,
         baseline_ipc: base,
@@ -353,33 +308,15 @@ pub fn ablate_filler(params: RunParams) -> Vec<FillerRow> {
 
 /// [`ablate_filler`] against an explicit instruction origin.
 pub fn ablate_filler_on(source: &dyn TraceSource, params: RunParams) -> Vec<FillerRow> {
-    Benchmark::ALL
-        .into_iter()
-        .map(|bench| ablate_filler_bench(source, bench, params))
-        .collect()
+    per_bench_on(source, params, ablate_filler_bench)
 }
 
 /// One benchmark's filler-ablation row — the independently schedulable
 /// cell.
-pub fn ablate_filler_bench(
-    source: &dyn TraceSource,
-    bench: Benchmark,
-    params: RunParams,
-) -> FillerRow {
-    let stride = run_pipeline_on(source, bench, Box::new(HgvqEngine::paper_default()), params);
-    let lv: HgvqPredictor<LastValuePredictor> = HgvqPredictor::new(
-        Capacity::Entries(8192),
-        32,
-        Capacity::Entries(8192),
-        LastValuePredictor::new(Capacity::Entries(8192)),
-    );
-    let lv = run_pipeline_on(
-        source,
-        bench,
-        Box::new(HgvqEngine::from_predictor(lv)),
-        params,
-    );
-    let none = run_pipeline_on(source, bench, Box::new(SgvqEngine::paper_default()), params);
+pub fn ablate_filler_bench(memo: &RunMemo, bench: Benchmark, params: RunParams) -> FillerRow {
+    let stride = memo.pipeline(bench, EngineSpec::paper_hgvq(), params);
+    let lv = memo.pipeline(bench, EngineSpec::HgvqLastValue, params);
+    let none = memo.pipeline(bench, EngineSpec::Sgvq, params);
     FillerRow {
         bench,
         stride_filler: (stride.vp.gated_accuracy(), stride.vp.coverage()),
@@ -415,41 +352,22 @@ pub fn ablate_confidence_thresholds() -> [u8; 4] {
 
 /// [`ablate_confidence`] against an explicit instruction origin.
 pub fn ablate_confidence_on(source: &dyn TraceSource, params: RunParams) -> Vec<ConfidenceRow> {
+    let memo = RunMemo::new(source);
     ablate_confidence_thresholds()
         .into_iter()
-        .map(|threshold| ablate_confidence_point(source, threshold, params))
+        .map(|threshold| ablate_confidence_point(&memo, threshold, params))
         .collect()
 }
 
 /// One threshold's confidence-ablation row (all benchmarks inside) — the
 /// independently schedulable cell.
-pub fn ablate_confidence_point(
-    source: &dyn TraceSource,
-    threshold: u8,
-    params: RunParams,
-) -> ConfidenceRow {
+pub fn ablate_confidence_point(memo: &RunMemo, threshold: u8, params: RunParams) -> ConfidenceRow {
     let mut accs = Vec::new();
     let mut covs = Vec::new();
     let mut ratios = Vec::new();
     for bench in Benchmark::ALL {
-        let base = run_pipeline_on(source, bench, Box::new(NoVp), params).ipc();
-        let config = ConfidenceConfig {
-            threshold,
-            ..ConfidenceConfig::default()
-        };
-        let p = HgvqPredictor::with_config(
-            Capacity::Entries(8192),
-            32,
-            Capacity::Entries(8192),
-            config,
-            StridePredictor::new(Capacity::Entries(8192)),
-        );
-        let s = run_pipeline_on(
-            source,
-            bench,
-            Box::new(HgvqEngine::from_predictor(p)),
-            params,
-        );
+        let base = memo.pipeline(bench, EngineSpec::NoVp, params).ipc();
+        let s = memo.pipeline(bench, EngineSpec::Hgvq { threshold }, params);
         accs.push(s.vp.gated_accuracy());
         covs.push(s.vp.coverage());
         ratios.push(s.ipc() / base);
@@ -497,44 +415,24 @@ pub fn prefetch(params: RunParams) -> Vec<PrefetchRow> {
 
 /// [`prefetch`] against an explicit instruction origin.
 pub fn prefetch_on(source: &dyn TraceSource, params: RunParams) -> Vec<PrefetchRow> {
-    Benchmark::ALL
-        .into_iter()
-        .map(|bench| prefetch_bench(source, bench, params))
-        .collect()
+    per_bench_on(source, params, prefetch_bench)
 }
 
 /// One benchmark's prefetch row — the independently schedulable cell.
-pub fn prefetch_bench(
-    source: &dyn TraceSource,
-    bench: Benchmark,
-    params: RunParams,
-) -> PrefetchRow {
-    let cfg = PipelineConfig::r10k();
-    let base = run_pipeline_configured_on(source, bench, Box::new(NoVp), None, cfg, params);
-    let nl = run_pipeline_configured_on(
-        source,
-        bench,
-        Box::new(NoVp),
-        Some(Box::new(NextLinePrefetcher::new(cfg.dcache.line_bytes))),
-        cfg,
-        params,
-    );
-    let st = run_pipeline_configured_on(
-        source,
-        bench,
-        Box::new(NoVp),
-        Some(Box::new(StridePrefetcher::new())),
-        cfg,
-        params,
-    );
-    let gd = run_pipeline_configured_on(
-        source,
-        bench,
-        Box::new(NoVp),
-        Some(Box::new(GDiffPrefetcher::new())),
-        cfg,
-        params,
-    );
+pub fn prefetch_bench(memo: &RunMemo, bench: Benchmark, params: RunParams) -> PrefetchRow {
+    let with = |prefetch| {
+        memo.pipeline_configured(
+            bench,
+            EngineSpec::NoVp,
+            prefetch,
+            PipelineConfig::r10k(),
+            params,
+        )
+    };
+    let base = with(None);
+    let nl = with(Some(PrefetchSpec::NextLine));
+    let st = with(Some(PrefetchSpec::Stride));
+    let gd = with(Some(PrefetchSpec::GDiff));
     PrefetchRow {
         bench,
         base_miss_rate: base.dcache_miss_rate,
@@ -571,17 +469,15 @@ pub fn limit(params: RunParams) -> Vec<LimitRow> {
 
 /// [`limit`] against an explicit instruction origin.
 pub fn limit_on(source: &dyn TraceSource, params: RunParams) -> Vec<LimitRow> {
-    Benchmark::ALL
-        .into_iter()
-        .map(|bench| limit_bench(source, bench, params))
-        .collect()
+    per_bench_on(source, params, limit_bench)
 }
 
 /// One benchmark's limit-study row — the independently schedulable cell.
-pub fn limit_bench(source: &dyn TraceSource, bench: Benchmark, params: RunParams) -> LimitRow {
-    let base = run_pipeline_on(source, bench, Box::new(NoVp), params).ipc();
-    let gd = run_pipeline_on(source, bench, Box::new(HgvqEngine::paper_default()), params).ipc();
-    let oracle = run_pipeline_on(source, bench, Box::new(OracleEngine), params).ipc();
+pub fn limit_bench(memo: &RunMemo, bench: Benchmark, params: RunParams) -> LimitRow {
+    let ipc = |engine| memo.pipeline(bench, engine, params).ipc();
+    let base = ipc(EngineSpec::NoVp);
+    let gd = ipc(EngineSpec::paper_hgvq());
+    let oracle = ipc(EngineSpec::Oracle);
     LimitRow {
         bench,
         base_ipc: base,
@@ -621,16 +517,17 @@ pub fn ablate_depth_points() -> [(u64, u64); 4] {
 
 /// [`ablate_depth`] against an explicit instruction origin.
 pub fn ablate_depth_on(source: &dyn TraceSource, params: RunParams) -> Vec<DepthRow> {
+    let memo = RunMemo::new(source);
     ablate_depth_points()
         .into_iter()
-        .map(|point| ablate_depth_point(source, point, params))
+        .map(|point| ablate_depth_point(&memo, point, params))
         .collect()
 }
 
 /// One (depth, redirect) point of the depth ablation (all benchmarks
 /// inside) — the independently schedulable cell.
 pub fn ablate_depth_point(
-    source: &dyn TraceSource,
+    memo: &RunMemo,
     (depth, redirect): (u64, u64),
     params: RunParams,
 ) -> DepthRow {
@@ -643,23 +540,10 @@ pub fn ablate_depth_point(
     let mut st_ratios = Vec::new();
     let mut delay = 0.0;
     for bench in Benchmark::ALL {
-        let base = run_pipeline_configured_on(source, bench, Box::new(NoVp), None, config, params);
-        let gd = run_pipeline_configured_on(
-            source,
-            bench,
-            Box::new(HgvqEngine::paper_default()),
-            None,
-            config,
-            params,
-        );
-        let st = run_pipeline_configured_on(
-            source,
-            bench,
-            Box::new(LocalEngine::stride_8k()),
-            None,
-            config,
-            params,
-        );
+        let run = |engine| memo.pipeline_configured(bench, engine, None, config, params);
+        let base = run(EngineSpec::NoVp);
+        let gd = run(EngineSpec::paper_hgvq());
+        let st = run(EngineSpec::Stride8k);
         gd_ratios.push(gd.ipc() / base.ipc());
         st_ratios.push(st.ipc() / base.ipc());
         if bench == Benchmark::Vortex {

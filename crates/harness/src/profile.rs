@@ -13,6 +13,7 @@ use predictors::{
 };
 use workloads::{Benchmark, DynInst, SyntheticSource, TraceSource};
 
+use crate::memo::{per_bench_on, ProfileSpec, RunMemo};
 use crate::RunParams;
 
 /// Runs one predictor over one benchmark's value stream (profile mode) and
@@ -202,44 +203,18 @@ pub fn fig8(params: RunParams) -> Vec<Fig8Row> {
 
 /// [`fig8`] against an explicit instruction origin.
 pub fn fig8_on(source: &dyn TraceSource, params: RunParams) -> Vec<Fig8Row> {
-    Benchmark::ALL
-        .into_iter()
-        .map(|bench| fig8_bench(source, bench, params))
-        .collect()
+    per_bench_on(source, params, fig8_bench)
 }
 
 /// One benchmark's Figure 8 row — the independently schedulable cell.
-pub fn fig8_bench(source: &dyn TraceSource, bench: Benchmark, params: RunParams) -> Fig8Row {
-    let stride = run_profile_on(
-        source,
-        bench,
-        &mut StridePredictor::new(Capacity::Unbounded),
-        params,
-    );
-    let dfcm = run_profile_on(
-        source,
-        bench,
-        &mut DfcmPredictor::new(Capacity::Unbounded, 4, 16),
-        params,
-    );
-    let g8 = run_profile_on(
-        source,
-        bench,
-        &mut GDiffPredictor::new(Capacity::Unbounded, 8),
-        params,
-    );
-    let g32 = run_profile_on(
-        source,
-        bench,
-        &mut GDiffPredictor::new(Capacity::Unbounded, 32),
-        params,
-    );
+pub fn fig8_bench(memo: &RunMemo, bench: Benchmark, params: RunParams) -> Fig8Row {
+    let accuracy = |spec| memo.profile(bench, spec, params).stats.accuracy();
     Fig8Row {
         bench,
-        stride: stride.accuracy(),
-        dfcm: dfcm.accuracy(),
-        gdiff_q8: g8.accuracy(),
-        gdiff_q32: g32.accuracy(),
+        stride: accuracy(ProfileSpec::Stride),
+        dfcm: accuracy(ProfileSpec::Dfcm),
+        gdiff_q8: accuracy(ProfileSpec::gdiff(8)),
+        gdiff_q32: accuracy(ProfileSpec::gdiff(32)),
     }
 }
 
@@ -289,25 +264,22 @@ pub fn fig9(params: RunParams) -> Vec<Fig9Row> {
 
 /// [`fig9`] against an explicit instruction origin.
 pub fn fig9_on(source: &dyn TraceSource, params: RunParams) -> Vec<Fig9Row> {
-    Benchmark::ALL
-        .into_iter()
-        .map(|bench| fig9_bench(source, bench, params))
-        .collect()
+    per_bench_on(source, params, fig9_bench)
 }
 
 /// One benchmark's Figure 9 row — the independently schedulable cell.
 ///
 /// Convenience wrapper over [`fig9_bench_obs`] that discards the gauge
 /// output.
-pub fn fig9_bench(source: &dyn TraceSource, bench: Benchmark, params: RunParams) -> Fig9Row {
-    fig9_bench_obs(source, bench, params, &mut Registry::new())
+pub fn fig9_bench(memo: &RunMemo, bench: Benchmark, params: RunParams) -> Fig9Row {
+    fig9_bench_obs(memo, bench, params, &mut Registry::new())
 }
 
 /// [`fig9_bench`] with observability: publishes the 8K table's shape as
 /// `gdiff.table.{probe_len,occupancy,bytes}` gauges on `reg` and records
 /// the same geometry in the returned row.
 pub fn fig9_bench_obs(
-    source: &dyn TraceSource,
+    memo: &RunMemo,
     bench: Benchmark,
     params: RunParams,
     reg: &mut Registry,
@@ -316,19 +288,19 @@ pub fn fig9_bench_obs(
     let mut accuracy_unlimited = 0.0;
     let mut accuracy_8k = 0.0;
     let mut geometry = None;
-    for size in fig9_sizes() {
-        let cap = match size {
-            None => Capacity::Unbounded,
-            Some(n) => Capacity::Entries(n),
+    for entries in fig9_sizes() {
+        let spec = ProfileSpec::GDiff {
+            entries,
+            order: 8,
+            delay: 0,
         };
-        let mut p = GDiffPredictor::new(cap, 8);
-        let stats = run_profile_on(source, bench, &mut p, params);
-        conflict_rates.push(p.conflict_rate());
-        if size.is_none() {
-            accuracy_unlimited = stats.accuracy();
-        } else if size == Some(8 * 1024) {
-            accuracy_8k = stats.accuracy();
-            geometry = Some(p.core().geometry());
+        let run = memo.profile(bench, spec, params);
+        conflict_rates.push(run.conflict_rate);
+        if entries.is_none() {
+            accuracy_unlimited = run.stats.accuracy();
+        } else if entries == Some(8 * 1024) {
+            accuracy_8k = run.stats.accuracy();
+            geometry = run.geometry;
         }
     }
     let geometry = geometry.expect("fig9_sizes includes the 8K point");
@@ -374,19 +346,20 @@ pub fn fig10(params: RunParams) -> Vec<Fig10Row> {
 
 /// [`fig10`] against an explicit instruction origin.
 pub fn fig10_on(source: &dyn TraceSource, params: RunParams) -> Vec<Fig10Row> {
-    Benchmark::ALL
-        .into_iter()
-        .map(|bench| fig10_bench(source, bench, params))
-        .collect()
+    per_bench_on(source, params, fig10_bench)
 }
 
 /// One benchmark's Figure 10 row — the independently schedulable cell.
-pub fn fig10_bench(source: &dyn TraceSource, bench: Benchmark, params: RunParams) -> Fig10Row {
+pub fn fig10_bench(memo: &RunMemo, bench: Benchmark, params: RunParams) -> Fig10Row {
     let accuracy = fig10_delays()
         .into_iter()
-        .map(|t| {
-            let mut p = GDiffPredictor::with_delay(Capacity::Unbounded, 8, t);
-            run_profile_on(source, bench, &mut p, params).accuracy()
+        .map(|delay| {
+            let spec = ProfileSpec::GDiff {
+                entries: None,
+                order: 8,
+                delay,
+            };
+            memo.profile(bench, spec, params).stats.accuracy()
         })
         .collect();
     Fig10Row { bench, accuracy }
@@ -418,24 +391,18 @@ pub fn ablate_queue(params: RunParams) -> Vec<QueueRow> {
 
 /// [`ablate_queue`] against an explicit instruction origin.
 pub fn ablate_queue_on(source: &dyn TraceSource, params: RunParams) -> Vec<QueueRow> {
-    Benchmark::ALL
-        .into_iter()
-        .map(|bench| ablate_queue_bench(source, bench, params))
-        .collect()
+    per_bench_on(source, params, ablate_queue_bench)
 }
 
 /// One benchmark's queue-order ablation row — the independently
 /// schedulable cell.
-pub fn ablate_queue_bench(
-    source: &dyn TraceSource,
-    bench: Benchmark,
-    params: RunParams,
-) -> QueueRow {
+pub fn ablate_queue_bench(memo: &RunMemo, bench: Benchmark, params: RunParams) -> QueueRow {
     let accuracy = ablate_queue_orders()
         .into_iter()
         .map(|n| {
-            let mut p = GDiffPredictor::new(Capacity::Unbounded, n);
-            run_profile_on(source, bench, &mut p, params).accuracy()
+            memo.profile(bench, ProfileSpec::gdiff(n), params)
+                .stats
+                .accuracy()
         })
         .collect();
     QueueRow { bench, accuracy }

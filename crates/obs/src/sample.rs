@@ -29,7 +29,7 @@ use crate::metrics::Registry;
 use std::collections::VecDeque;
 use std::io::Write;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Schema tag carried by every snapshot record.
@@ -151,7 +151,7 @@ struct Worker {
 }
 
 impl Worker {
-    fn run(mut self) -> SampleLog {
+    fn run(mut self, baseline_taken: mpsc::Sender<()>) -> SampleLog {
         let start = Instant::now();
         let mut log = SampleLog {
             snapshots: VecDeque::new(),
@@ -163,6 +163,8 @@ impl Worker {
         // Baseline snapshot, then one per interval, then a final one so
         // short runs still produce a complete stream.
         self.take(&mut log, &mut prev, start);
+        // The receiver may already be gone if `start` unwound; nothing to do.
+        let _ = baseline_taken.send(());
         while !self.stop.load(Ordering::Relaxed) {
             // Sleep in small slices so stop() returns promptly even with
             // multi-second intervals.
@@ -223,7 +225,9 @@ pub struct Sampler {
 
 impl Sampler {
     /// Spawns the sampling thread: a baseline snapshot immediately, one
-    /// every `interval`, and a final one at [`stop`](Self::stop). The ring
+    /// every `interval`, and a final one at [`stop`](Self::stop). Returns
+    /// only once the baseline has been taken, so anything merged into
+    /// `shared` afterwards lands in a later snapshot. The ring
     /// retains the most recent `ring_cap` snapshots; `writer`, when given,
     /// receives each snapshot as one NDJSON line (flushed per line).
     pub fn start(
@@ -240,10 +244,14 @@ impl Sampler {
             writer,
             stop: stop.clone(),
         };
+        let (baseline_taken, baseline) = mpsc::channel();
         let thread = std::thread::Builder::new()
             .name("obs-sampler".into())
-            .spawn(move || worker.run())
+            .spawn(move || worker.run(baseline_taken))
             .expect("spawn sampler thread");
+        // An error means the worker died before its baseline; `stop`
+        // surfaces that panic.
+        let _ = baseline.recv();
         Sampler { stop, thread }
     }
 
@@ -337,6 +345,26 @@ mod tests {
         for line in lines {
             let rec = JsonValue::parse(line).expect("each line is standalone JSON");
             assert_eq!(rec.get("schema").and_then(|v| v.as_str()), Some(SCHEMA));
+        }
+    }
+
+    #[test]
+    fn merge_right_after_start_lands_after_the_baseline() {
+        for _ in 0..50 {
+            let shared = SharedRegistry::new();
+            let sampler = Sampler::start(shared.clone(), Duration::from_secs(3600), 16, None);
+            shared.with(|r| {
+                let c = r.counter("early");
+                r.add(c, 1);
+            });
+            let log = sampler.stop();
+            let baseline = log.snapshots[0].record.get("counters");
+            assert!(
+                baseline.and_then(|c| c.get("early")).is_none(),
+                "baseline must predate the merge"
+            );
+            let finals = log.snapshots[1].record.get("counters").unwrap();
+            assert_eq!(finals.get("early").and_then(|v| v.as_f64()), Some(1.0));
         }
     }
 

@@ -1,7 +1,7 @@
 //! Pipeline and cache configuration (the paper's Table 1).
 
 /// Geometry and timing of one cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
     pub size_bytes: u64,
@@ -26,7 +26,7 @@ impl CacheConfig {
 /// superscalar with a 64-entry reorder buffer, 4 fully symmetric function
 /// units, 64 KB 4-way I/D caches (12 / 14 cycle miss penalties), 2-cycle
 /// D-cache hits, and MIPS R10000 execution latencies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PipelineConfig {
     /// Instructions fetched per cycle.
     pub fetch_width: usize,

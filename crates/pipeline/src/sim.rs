@@ -410,6 +410,14 @@ impl Simulator {
     fn complete(&mut self, _observer: &mut dyn SimObserver) {
         let cycle = self.cycle;
         // Collect completions first (borrow discipline).
+        //
+        // Known defect, kept because fixing it changes simulated cycles:
+        // the list is not re-checked inside the loop. When an earlier
+        // entry's completion squashes a later listed consumer back to
+        // `Waiting` (`squash_consumers` clears its `read`), the loop still
+        // marks that consumer `Done` with `read = [None, None]`, so it
+        // escapes reissue. The fix is to skip entries no longer
+        // `Executing` when their turn comes.
         let finishing: Vec<usize> = self
             .rob
             .iter()

@@ -86,7 +86,7 @@ impl From<obs::Histogram> for DelayHistogram {
 }
 
 /// End-of-run statistics of one simulation.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimStats {
     /// Cycles simulated (measurement phase).
     pub cycles: u64,

@@ -3,7 +3,7 @@
 use crate::{Capacity, PcTable, ValuePredictor};
 
 /// Configuration of the [`MarkovPredictor`]'s transition table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MarkovConfig {
     /// Total transition-table entries (must be a multiple of `ways` and the
     /// set count must be a power of two).

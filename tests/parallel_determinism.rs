@@ -3,7 +3,12 @@
 //! `experiments` report section for every worker count.
 //!
 //! Only wall-clock artifacts (stderr timing lines, the report's `timings`
-//! and `scheduler` sections) may differ between worker counts.
+//! and `scheduler` sections) may differ between worker counts. The
+//! scheduler section's run totals (`runs.requested`, `runs.computed`) are
+//! the exception: they count runs, not time, and must match too.
+//!
+//! Experiments of one invocation share a run memo, so each must still
+//! report exactly what it reports when run alone.
 //!
 //! The same guarantee extends to the sweep engine at the *process* level:
 //! `harness sweep` produces byte-identical stdout and `--out` report for
@@ -20,13 +25,13 @@ fn tmp_path(name: &str) -> PathBuf {
     p
 }
 
-/// Runs `harness all` at a small scale with `jobs` workers; returns
-/// (stdout bytes, the report's `experiments` subtree as JSON text).
-fn run_all(jobs: usize) -> (Vec<u8>, String) {
-    let json = tmp_path(&format!("j{jobs}.json"));
+/// Runs `harness <exp>` at a small scale with `jobs` workers; returns
+/// (stdout bytes, the parsed run report).
+fn run_experiment(exp: &str, jobs: usize) -> (Vec<u8>, obs::JsonValue) {
+    let json = tmp_path(&format!("{exp}-j{jobs}.json"));
     let out = Command::new(env!("CARGO_BIN_EXE_harness"))
         .args([
-            "all",
+            exp,
             "--scale",
             "0.01",
             "--seed",
@@ -40,20 +45,29 @@ fn run_all(jobs: usize) -> (Vec<u8>, String) {
         .expect("harness runs");
     assert!(
         out.status.success(),
-        "jobs={jobs} failed: {}",
+        "{exp} jobs={jobs} failed: {}",
         String::from_utf8_lossy(&out.stderr)
     );
     let report = std::fs::read_to_string(&json).expect("report written");
     std::fs::remove_file(&json).ok();
     let parsed = obs::JsonValue::parse(&report).expect("report parses");
-    let experiments = parsed.get("experiments").expect("experiments section");
     // Sanity: the scheduler section reflects the requested worker count.
     let sched_jobs = parsed
         .path("scheduler.jobs")
         .and_then(|v| v.as_f64())
         .expect("scheduler.jobs");
     assert_eq!(sched_jobs as usize, jobs);
-    (out.stdout, experiments.to_json())
+    (out.stdout, parsed)
+}
+
+/// `harness all` with `jobs` workers; returns (stdout bytes, the
+/// report's `experiments` subtree as JSON text, its `scheduler.runs`
+/// totals as JSON text).
+fn run_all(jobs: usize) -> (Vec<u8>, String, String) {
+    let (stdout, report) = run_experiment("all", jobs);
+    let experiments = report.get("experiments").expect("experiments section");
+    let runs = report.path("scheduler.runs").expect("scheduler.runs");
+    (stdout, experiments.to_json(), runs.to_json())
 }
 
 /// A 1080-cell grid (4 orders x 3 depths x 3 thresholds x 3 delays x 10
@@ -176,10 +190,11 @@ fn killed_sweep_resumes_to_byte_identical_output() {
 
 #[test]
 fn all_experiments_are_byte_identical_for_any_worker_count() {
-    let (stdout1, exps1) = run_all(1);
+    let (stdout1, exps1, runs1) = run_all(1);
     assert!(!stdout1.is_empty(), "tables go to stdout");
     for jobs in [2, 4] {
-        let (stdout, exps) = run_all(jobs);
+        let (stdout, exps, runs) = run_all(jobs);
+        assert_eq!(runs, runs1, "run totals must be identical at jobs={jobs}");
         assert_eq!(
             stdout, stdout1,
             "stdout must be byte-identical at jobs={jobs}"
@@ -187,6 +202,23 @@ fn all_experiments_are_byte_identical_for_any_worker_count() {
         assert_eq!(
             exps, exps1,
             "experiments report must be identical at jobs={jobs}"
+        );
+    }
+}
+
+#[test]
+fn shared_runs_do_not_leak_between_experiments() {
+    let (_, all) = run_experiment("all", 2);
+    let all = all.get("experiments").expect("experiments section");
+    for exp in harness::cells::ALL_EXPERIMENTS {
+        let (_, report) = run_experiment(exp, 1);
+        let alone = report.get("experiments").and_then(|e| e.get(exp));
+        let alone = alone.expect("the experiment's own section");
+        let shared = all.get(exp).expect("every experiment in `all`");
+        assert_eq!(
+            shared.to_json(),
+            alone.to_json(),
+            "{exp} inside `all` differs from {exp} alone"
         );
     }
 }
