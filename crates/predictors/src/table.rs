@@ -21,8 +21,17 @@
 //! every payload slot is default-initialized up front, so claiming a fresh
 //! slot writes a tag and a bit, never a payload. [`PcTable::geometry`]
 //! reports the resulting memory footprint.
+//!
+//! The unbounded table is a `HashMap` keyed by PC under [`PcKeys`], a keyed
+//! multiply-fold hash: one 64×64→128-bit multiply per lookup instead of
+//! SipHash's rounds. The keys are drawn per table from the standard
+//! library's random source, because serve sessions index unbounded tables
+//! by client-supplied PCs — an identity or fixed-constant hash would let a
+//! client pick PCs that all land in one probe chain.
 
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
+use std::hash::{BuildHasher, Hasher};
 use std::mem::size_of;
 
 /// The capacity policy of a [`PcTable`].
@@ -74,9 +83,70 @@ struct DirectTable<E> {
     data: Vec<E>,
 }
 
+/// Per-table secret keys of the unbounded table's PC hash.
+///
+/// A PC hashes to `fold((pc ^ k0) * (k1 | 1))`, where the product is the
+/// full 128-bit one and `fold` XORs its two halves, so every PC bit reaches
+/// both the bucket-index (low) and control (high) bits of the hash.
+#[derive(Debug, Clone, Copy)]
+struct PcKeys {
+    k0: u64,
+    k1: u64,
+}
+
+impl PcKeys {
+    /// Fresh keys from the standard library's randomly seeded `RandomState`.
+    fn random() -> Self {
+        let s = RandomState::new();
+        PcKeys {
+            k0: s.hash_one(0u64),
+            k1: s.hash_one(1u64),
+        }
+    }
+}
+
+impl BuildHasher for PcKeys {
+    type Hasher = PcHasher;
+
+    fn build_hasher(&self) -> PcHasher {
+        PcHasher {
+            keys: *self,
+            hash: 0,
+        }
+    }
+}
+
+/// The [`Hasher`] of [`PcKeys`]; a `u64` key is one [`Hasher::write_u64`].
+#[derive(Debug)]
+struct PcHasher {
+    keys: PcKeys,
+    hash: u64,
+}
+
+impl Hasher for PcHasher {
+    #[inline]
+    fn write_u64(&mut self, x: u64) {
+        let p = u128::from(self.hash ^ x ^ self.keys.k0) * u128::from(self.keys.k1 | 1);
+        self.hash = (p as u64) ^ ((p >> 64) as u64);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.hash
+    }
+}
+
 #[derive(Debug, Clone)]
 enum Storage<E> {
-    Unbounded(HashMap<u64, E>),
+    /// No output may depend on this map's iteration order: it follows the
+    /// per-table random [`PcKeys`], so it differs from run to run.
+    Unbounded(HashMap<u64, E, PcKeys>),
     Direct(DirectTable<E>),
 }
 
@@ -117,7 +187,7 @@ impl<E: Default> PcTable<E> {
     /// index is computed with a bit mask, as in hardware).
     pub fn new(capacity: Capacity) -> Self {
         let storage = match capacity {
-            Capacity::Unbounded => Storage::Unbounded(HashMap::new()),
+            Capacity::Unbounded => Storage::Unbounded(HashMap::with_hasher(PcKeys::random())),
             Capacity::Entries(n) => {
                 assert!(
                     n > 0 && n.is_power_of_two(),
@@ -134,6 +204,16 @@ impl<E: Default> PcTable<E> {
         };
         PcTable {
             storage,
+            accesses: 0,
+            conflicts: 0,
+        }
+    }
+
+    /// An unbounded table hashing under the given keys.
+    #[cfg(test)]
+    fn unbounded_with_keys(keys: PcKeys) -> Self {
+        PcTable {
+            storage: Storage::Unbounded(HashMap::with_hasher(keys)),
             accesses: 0,
             conflicts: 0,
         }
@@ -345,6 +425,53 @@ mod tests {
         assert_eq!(g.probe_len, 0);
         assert_eq!(g.occupied, 1);
         assert_eq!(g.bytes, 16);
+    }
+
+    #[test]
+    fn unbounded_results_do_not_depend_on_hash_keys() {
+        // Word-aligned PCs, plus PCs (PC 0 among them) that share all their
+        // low 40 bits, which a weak hash would put in one bucket.
+        let pcs: Vec<u64> = (0..1500u64)
+            .map(|i| 0x40_0000 + 4 * i)
+            .chain((0..500u64).map(|i| i << 40))
+            .collect();
+        let run = |keys: PcKeys| {
+            let mut t: PcTable<u64> = PcTable::unbounded_with_keys(keys);
+            for round in 0..3u64 {
+                for (i, &pc) in pcs.iter().enumerate().step_by(round as usize + 1) {
+                    let e = t.entry_shared(pc);
+                    *e = e.wrapping_mul(31).wrapping_add(pc ^ (i as u64) ^ round);
+                }
+            }
+            let contents: Vec<Option<u64>> = pcs.iter().map(|&pc| t.peek(pc).copied()).collect();
+            (t.accesses(), t.conflicts(), t.len(), t.geometry(), contents)
+        };
+        let reference = run(PcKeys { k0: 0, k1: 0 });
+        for keys in [
+            PcKeys {
+                k0: 0x9e37_79b9_7f4a_7c15,
+                k1: 0xbf58_476d_1ce4_e5b9,
+            },
+            PcKeys {
+                k0: u64::MAX,
+                k1: 1 << 40,
+            },
+            PcKeys::random(),
+        ] {
+            assert_eq!(run(keys), reference, "{keys:?}");
+        }
+        assert_eq!(reference.2, pcs.len());
+        assert_eq!(reference.1, 0);
+    }
+
+    #[test]
+    fn unbounded_tables_draw_distinct_keys() {
+        let (a, b) = (PcKeys::random(), PcKeys::random());
+        assert!((a.k0, a.k1) != (b.k0, b.k1), "{a:?} vs {b:?}");
+        let hash = |k: PcKeys, pc: u64| k.hash_one(pc);
+        assert_ne!(hash(a, 0x1000), hash(b, 0x1000));
+        // Hashing is a pure function of the keys.
+        assert_eq!(hash(a, 0x1000), hash(a, 0x1000));
     }
 
     #[test]

@@ -33,10 +33,16 @@
 
 use workloads::{DynInst, OpClass};
 
-use crate::varint::{get_ivarint, put_ivarint};
+use crate::varint::{get_ivarint, put_ivarint, MAX_VARINT_LEN};
 
 /// Number of op classes (tag values `0..OP_CLASSES` are valid).
 pub const OP_CLASSES: usize = 7;
+
+/// The most bytes [`decode_inst`] can consume for one record: the tag
+/// byte, three register bytes (dst, src0, src1) and four varints (pc,
+/// value, mem_addr, target delta). A chunk of `count` records can never be
+/// longer than `count * MAX_RECORD_LEN` bytes.
+pub const MAX_RECORD_LEN: usize = 1 + 3 + 4 * MAX_VARINT_LEN;
 
 const TAG_DST: u8 = 1 << 3;
 const TAG_SRC0: u8 = 1 << 4;
@@ -370,6 +376,32 @@ mod tests {
             "expected ≤8 bytes/inst, got {}",
             buf.len() as f64 / n as f64
         );
+    }
+
+    #[test]
+    fn widest_record_is_max_record_len() {
+        // Every field present, and every delta from the zero state is
+        // i64::MIN, whose zigzag code needs all MAX_VARINT_LEN bytes.
+        let far = 1u64 << 63;
+        let inst = DynInst {
+            pc: far,
+            op: OpClass::Branch,
+            dst: Some(1),
+            srcs: [Some(2), Some(3)],
+            value: far,
+            mem_addr: Some(far),
+            taken: true,
+            target: far,
+        };
+        let mut buf = Vec::new();
+        encode_inst(&mut buf, &mut DeltaState::new(), &inst);
+        assert_eq!(buf.len(), MAX_RECORD_LEN);
+        let mut pos = 0;
+        assert_eq!(
+            decode_inst(&buf, &mut pos, &mut DeltaState::new()),
+            Ok(inst)
+        );
+        assert_eq!(pos, MAX_RECORD_LEN);
     }
 
     #[test]

@@ -43,7 +43,7 @@ use std::io::{self, Read, Write};
 
 use workloads::DynInst;
 
-use crate::codec::{decode_payload, encode_inst, DeltaState};
+use crate::codec::{decode_payload, encode_inst, DeltaState, MAX_RECORD_LEN};
 use crate::container::{TraceFileError, CHUNK_HEADER_LEN, HEADER_LEN, MAGIC, VERSION};
 use crate::crc32::crc32;
 
@@ -401,6 +401,15 @@ impl<R: Read> StreamReader<R> {
                  valid chunk nor the end marker"
             )));
         }
+        // Bound the length before allocating for it: the header is not yet
+        // covered by any CRC, and one flipped byte could ask for 4 GiB.
+        let max_len = u64::from(count) * MAX_RECORD_LEN as u64;
+        if u64::from(payload_len) > max_len {
+            return Err(self.corrupt(format!(
+                "chunk header claims {payload_len} payload bytes for {count} records \
+                 (at most {max_len})"
+            )));
+        }
         let mut payload = vec![0u8; payload_len as usize];
         read_fully(&mut self.r, &mut payload).map_err(|short| match short {
             ShortRead::Eof { got } => self.corrupt(format!(
@@ -577,6 +586,55 @@ mod tests {
             TraceFileError::Corrupt { chunk, .. } => assert_eq!(chunk, 2),
             other => panic!("expected Corrupt, got {other}"),
         }
+    }
+
+    /// A reader that refuses any read larger than its whole input: only a
+    /// buffer sized from an unchecked length field can ask for more.
+    struct BoundedReads<'a>(&'a [u8], usize);
+
+    impl Read for BoundedReads<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            assert!(
+                buf.len() <= self.1,
+                "read of {} bytes from a {}-byte input",
+                buf.len(),
+                self.1
+            );
+            self.0.read(buf)
+        }
+    }
+
+    #[test]
+    fn forged_payload_length_is_rejected_before_allocating() {
+        // Two good chunks, then a header claiming 0xFFFF_FFFF payload bytes
+        // for one record where the end marker should be.
+        let mut bytes = stream_bytes(&sample(300), 256);
+        bytes.truncate(bytes.len() - END_MARKER.len());
+        let forged_at = bytes.len() as u64;
+        for field in [0u32, 1, 0xFFFF_FFFF, 0] {
+            bytes.extend_from_slice(&field.to_le_bytes());
+        }
+        let mut r = StreamReader::new(BoundedReads(&bytes, bytes.len())).unwrap();
+        let mut out = Vec::new();
+        let err = loop {
+            match r.next_chunk_into(&mut out) {
+                Ok(Some(_)) => {}
+                Ok(None) => panic!("forged header decoded cleanly"),
+                Err(e) => break e,
+            }
+        };
+        match err {
+            TraceFileError::Corrupt {
+                chunk,
+                offset,
+                reason,
+            } => {
+                assert_eq!((chunk, offset), (2, forged_at));
+                assert!(reason.contains("4294967295 payload bytes"), "{reason}");
+            }
+            other => panic!("expected Corrupt, got {other}"),
+        }
+        assert_eq!(out.len(), 300);
     }
 
     #[test]

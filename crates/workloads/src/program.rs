@@ -1,8 +1,6 @@
 //! The program scheduler: composes kernels into an infinite dynamic
 //! instruction stream.
 
-use std::collections::VecDeque;
-
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -38,7 +36,11 @@ pub struct Program {
     schedule: Vec<usize>,
     skip_prob: f64,
     rng: SmallRng,
-    buffer: VecDeque<DynInst>,
+    /// The current basic block, reused across refills so steady-state
+    /// generation allocates nothing.
+    block: Vec<DynInst>,
+    /// Index of the next instruction of `block` to hand out.
+    read: usize,
     cursor: usize,
 }
 
@@ -73,7 +75,8 @@ impl Program {
             schedule,
             skip_prob,
             rng: SmallRng::seed_from_u64(seed),
-            buffer: VecDeque::new(),
+            block: Vec::new(),
+            read: 0,
             cursor: 0,
         }
     }
@@ -84,18 +87,18 @@ impl Program {
     }
 
     fn refill(&mut self) {
-        let mut staging = Vec::new();
-        // Emit sites until something lands in the buffer (skips can leave
+        self.block.clear();
+        self.read = 0;
+        // Emit sites until something lands in the block (skips can leave
         // a site silent).
-        while staging.is_empty() {
+        while self.block.is_empty() {
             let site = self.schedule[self.cursor % self.schedule.len()];
             self.cursor += 1;
             if self.skip_prob > 0.0 && self.rng.gen_bool(self.skip_prob) {
                 continue;
             }
-            self.sites[site].emit(&mut staging, &mut self.rng);
+            self.sites[site].emit(&mut self.block, &mut self.rng);
         }
-        self.buffer.extend(staging);
     }
 }
 
@@ -103,10 +106,12 @@ impl Iterator for Program {
     type Item = DynInst;
 
     fn next(&mut self) -> Option<DynInst> {
-        if self.buffer.is_empty() {
+        if self.read == self.block.len() {
             self.refill();
         }
-        self.buffer.pop_front()
+        let inst = self.block[self.read];
+        self.read += 1;
+        Some(inst)
     }
 }
 
