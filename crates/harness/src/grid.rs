@@ -35,6 +35,7 @@
 
 use workloads::Benchmark;
 
+use crate::profile::profile_producers;
 use crate::RunParams;
 
 /// Queue orders above [`gdiff::MAX_ORDER`] cannot be built.
@@ -177,6 +178,12 @@ impl GridSpec {
                 self.params.measure
             ));
         }
+        let (warmup, measure) = (self.params.warmup, self.params.measure);
+        if warmup.checked_add(measure).is_none() {
+            return Err(format!(
+                "grid warmup {warmup} + measure {measure} overflows a 64-bit producer count"
+            ));
+        }
         Ok(())
     }
 
@@ -239,7 +246,7 @@ impl GridSpec {
 
     /// CRC32 of the canonical form — the identity checkpoints carry.
     pub fn hash(&self) -> u32 {
-        tracefile::crc32::crc32(self.canonical().as_bytes())
+        obs::crc32::crc32(self.canonical().as_bytes())
     }
 
     /// Re-parses a canonical form written by [`GridSpec::canonical`].
@@ -277,7 +284,7 @@ impl GridSpec {
     /// Rough per-sweep cost facts for `--dry-run`: producers simulated
     /// per cell, and the byte footprint of the largest table swept.
     pub fn footprint(&self) -> (u64, u64) {
-        let per_cell = self.params.warmup + self.params.measure;
+        let per_cell = profile_producers(self.params) as u64;
         // SoA PC table: ~8 B tag + order × 8 B diffs + bookkeeping ≈
         // (order + 2) × 8 B per entry; unbounded depth estimated at 64K.
         let max_order = self.orders.iter().copied().max().unwrap_or(8) as u64;

@@ -9,7 +9,8 @@
 use gdiff::GDiffPredictor;
 use obs::Registry;
 use predictors::{
-    Capacity, ConfidenceTable, DfcmPredictor, PredictorStats, StridePredictor, ValuePredictor,
+    Capacity, ConfidenceTable, DfcmPredictor, PredictorStats, ProfileLoop, StridePredictor,
+    ValuePredictor,
 };
 use workloads::{Benchmark, DynInst, SyntheticSource, TraceSource};
 
@@ -28,63 +29,38 @@ pub fn run_profile<P: ValuePredictor>(
 
 /// [`run_profile`] with an explicit instruction origin: the synthetic
 /// models or a recorded trace file.
-pub fn run_profile_on<P: ValuePredictor>(
+pub fn run_profile_on<P: ValuePredictor + ?Sized>(
     source: &dyn TraceSource,
     bench: Benchmark,
     predictor: &mut P,
     params: RunParams,
 ) -> PredictorStats {
-    let _span = obs::span::span("profile.run");
-    let mut stats = PredictorStats::new();
-    for (n, inst) in value_stream_on(source, bench, params).enumerate() {
-        let predicted = predictor.predict(inst.pc);
-        if (n as u64) >= params.warmup {
-            stats.record(predicted, false, inst.value);
-        }
-        predictor.update(inst.pc, inst.value);
-    }
-    stats
+    run_profile_gated(source, bench, predictor, None, params)
 }
 
-/// [`run_profile_on`] with confidence gating: the sweep engine's cell
-/// body. The predictor is queried every producer; when a confidence
-/// table is supplied, a prediction only counts as *used* (confident)
-/// when the saturating counter clears its threshold, and the counter
-/// trains on every resolved prediction. With `conf = None` the run is
-/// ungated and "confident" means "the predictor ventured a prediction",
-/// so coverage stays meaningful across both modes.
-pub fn run_profile_gated(
+/// [`run_profile_on`] with optional confidence gating: the one harness
+/// driver of the [`ProfileLoop`], and the sweep engine's cell body.
+pub fn run_profile_gated<P: ValuePredictor + ?Sized>(
     source: &dyn TraceSource,
     bench: Benchmark,
-    predictor: &mut GDiffPredictor,
+    predictor: &mut P,
     mut conf: Option<&mut ConfidenceTable>,
     params: RunParams,
 ) -> PredictorStats {
     let _span = obs::span::span("profile.run");
-    let mut stats = PredictorStats::new();
-    for (n, inst) in value_stream_on(source, bench, params).enumerate() {
-        let predicted = predictor.predict(inst.pc);
-        let confident = match (&predicted, conf.as_deref_mut()) {
-            (Some(_), Some(c)) => c.is_confident(inst.pc),
-            (Some(_), None) => true,
-            (None, _) => false,
-        };
-        if (n as u64) >= params.warmup {
-            stats.record(predicted, confident, inst.value);
-        }
-        if let (Some(p), Some(c)) = (predicted, conf.as_deref_mut()) {
-            c.train(inst.pc, p == inst.value);
-        }
-        predictor.update(inst.pc, inst.value);
+    let mut run = ProfileLoop::new(params.warmup, params.measure);
+    for inst in value_stream_on(source, bench, params) {
+        run.step(predictor, conf.as_deref_mut(), inst.pc, inst.value);
     }
-    stats
+    *run.stats()
 }
 
 /// Value producers a profile-mode experiment consumes: the number of
-/// instructions [`value_stream_on`] takes after filtering. Recording
-/// tools use this to size captured traces.
+/// instructions [`value_stream_on`] takes after filtering, the
+/// [`ProfileLoop`]'s limit. Recording tools use this to size captured
+/// traces.
 pub fn profile_producers(params: RunParams) -> usize {
-    (params.warmup + params.measure) as usize
+    ProfileLoop::new(params.warmup, params.measure).limit() as usize
 }
 
 fn value_stream_on<'a>(

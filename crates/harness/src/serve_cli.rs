@@ -15,11 +15,12 @@
 use std::path::{Path, PathBuf};
 
 use obs::JsonValue;
-use predictors::{Capacity, PredictorStats, ValuePredictor};
+use predictors::Capacity;
 use serve::{client, ServeConfig, Server, SessionParams};
 use tracefile::TraceReader;
 use workloads::{Benchmark, SyntheticSource, TraceSource};
 
+use crate::profile::run_profile_on;
 use crate::RunParams;
 
 /// Options for `harness serve`.
@@ -618,31 +619,9 @@ fn check_drift_probe(overview: &JsonValue, name: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// The one-shot reference for the selftest: the §3 profile loop the
-/// harness runs directly, with the same default predictor shape a served
-/// session builds.
-fn direct_stats(bench: Benchmark, seed: u64, warmup: u64, measure: u64) -> PredictorStats {
-    let source = SyntheticSource::new(seed);
-    let defaults = SessionParams::default();
-    let mut p =
-        gdiff::GDiffPredictor::with_delay(Capacity::Unbounded, defaults.order, defaults.delay);
-    let mut stats = PredictorStats::new();
-    for (n, inst) in source
-        .stream(bench)
-        .filter(|i| i.produces_value())
-        .take((warmup + measure) as usize)
-        .enumerate()
-    {
-        let predicted = p.predict(inst.pc);
-        if (n as u64) >= warmup {
-            stats.record(predicted, false, inst.value);
-        }
-        p.update(inst.pc, inst.value);
-    }
-    stats
-}
-
-/// One benchmark's selftest verdict.
+/// One benchmark's selftest verdict against the one-shot reference: the
+/// §3 profile run the harness does directly, with the same default
+/// predictor shape a served session builds.
 fn check_report(
     report: &JsonValue,
     bench: Benchmark,
@@ -650,55 +629,33 @@ fn check_report(
     warmup: u64,
     measure: u64,
 ) -> Result<(), String> {
-    let direct = direct_stats(bench, seed, warmup, measure);
-    let get = |k: &str| -> Result<f64, String> {
-        report
-            .path(k)
+    let defaults = SessionParams::default();
+    let mut p =
+        gdiff::GDiffPredictor::with_delay(Capacity::Unbounded, defaults.order, defaults.delay);
+    let params = RunParams {
+        seed,
+        warmup,
+        measure,
+    };
+    let direct = run_profile_on(&SyntheticSource::new(seed), bench, &mut p, params);
+    // Bit-identical numbers: same counters, same division, same bits.
+    for (key, want) in [
+        ("total", direct.total() as f64),
+        ("predicted", direct.predicted() as f64),
+        ("correct", direct.correct() as f64),
+        ("accuracy", direct.accuracy()),
+        ("coverage", direct.coverage()),
+    ] {
+        let got = report
+            .path(key)
             .and_then(|v| v.as_f64())
-            .ok_or_else(|| format!("{}: report missing `{k}`", bench.name()))
-    };
-    let mismatch = |what: &str, got: String, want: String| {
-        Err(format!(
-            "{}: {what} diverged: served {got} != direct {want}",
-            bench.name()
-        ))
-    };
-    if get("total")? as u64 != direct.total() {
-        return mismatch(
-            "total",
-            (get("total")? as u64).to_string(),
-            direct.total().to_string(),
-        );
-    }
-    if get("predicted")? as u64 != direct.predicted() {
-        return mismatch(
-            "predicted",
-            (get("predicted")? as u64).to_string(),
-            direct.predicted().to_string(),
-        );
-    }
-    if get("correct")? as u64 != direct.correct() {
-        return mismatch(
-            "correct",
-            (get("correct")? as u64).to_string(),
-            direct.correct().to_string(),
-        );
-    }
-    // Bit-identical floats: same counters, same division, same bits.
-    if get("accuracy")?.to_bits() != direct.accuracy().to_bits() {
-        return mismatch(
-            "accuracy",
-            format!("{}", get("accuracy")?),
-            format!("{}", direct.accuracy()),
-        );
-    }
-    let coverage = direct.predicted() as f64 / direct.total().max(1) as f64;
-    if get("coverage")?.to_bits() != coverage.to_bits() {
-        return mismatch(
-            "coverage",
-            format!("{}", get("coverage")?),
-            format!("{coverage}"),
-        );
+            .ok_or_else(|| format!("{}: report missing `{key}`", bench.name()))?;
+        if got.to_bits() != want.to_bits() {
+            return Err(format!(
+                "{}: {key} diverged: served {got} != direct {want}",
+                bench.name()
+            ));
+        }
     }
     Ok(())
 }

@@ -144,8 +144,8 @@ impl CellCounts {
     }
 
     /// Gated accuracy `confident_correct / confident`. With threshold 0
-    /// (ungated cells) "confident" means "predicted", so this is the
-    /// accuracy of the predictions made.
+    /// (ungated cells) this is the accuracy of the predictions made,
+    /// under [`predictors::ProfileLoop`]'s confidence rule.
     pub fn gated_accuracy(&self) -> f64 {
         ratio(self.confident_correct, self.confident)
     }

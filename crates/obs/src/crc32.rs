@@ -1,8 +1,9 @@
 //! CRC-32 (IEEE 802.3, polynomial `0xEDB88320`), table-driven.
 //!
 //! The same checksum gzip/zip/PNG use; enough to catch the random bit rot
-//! and truncation a trace file meets on disk or in transit. Not a defense
-//! against adversarial modification.
+//! and truncation a trace file, checkpoint, journal or wire frame meets on
+//! disk or in transit. Not a defense against adversarial modification.
+//! Every CRC in the workspace is this one function.
 
 const fn build_table() -> [u32; 256] {
     let mut table = [0u32; 256];

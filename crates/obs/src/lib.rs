@@ -32,9 +32,12 @@
 //!   accuracy/coverage, an EWMA baseline frozen at end-of-warmup, and a
 //!   Page–Hinkley drift detector feeding journal events and a
 //!   `serve_session_health` gauge.
+//! - [`crc32`] — the workspace's one CRC-32, shared by the journal, the
+//!   trace container, checkpoints, stream chunks and serve frames.
 
 #![forbid(unsafe_code)]
 
+pub mod crc32;
 pub mod expose;
 pub mod health;
 pub mod json;

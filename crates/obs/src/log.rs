@@ -51,43 +51,8 @@ use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
+use crate::crc32::crc32;
 use crate::json::JsonValue;
-use tracefile_crc::crc32;
-
-/// CRC-32 identical to the tracefile container's (IEEE 802.3). The
-/// journal must not depend on the tracefile crate (obs sits below it),
-/// so the table lives here in a private module.
-mod tracefile_crc {
-    const fn build_table() -> [u32; 256] {
-        let mut table = [0u32; 256];
-        let mut i = 0;
-        while i < 256 {
-            let mut crc = i as u32;
-            let mut bit = 0;
-            while bit < 8 {
-                crc = if crc & 1 != 0 {
-                    (crc >> 1) ^ 0xEDB8_8320
-                } else {
-                    crc >> 1
-                };
-                bit += 1;
-            }
-            table[i] = crc;
-            i += 1;
-        }
-        table
-    }
-
-    static TABLE: [u32; 256] = build_table();
-
-    pub fn crc32(data: &[u8]) -> u32 {
-        let mut crc = 0xffff_ffffu32;
-        for &b in data {
-            crc = (crc >> 8) ^ TABLE[((crc ^ b as u32) & 0xff) as usize];
-        }
-        !crc
-    }
-}
 
 /// Leading file magic (includes a format generation byte).
 pub const MAGIC: [u8; 8] = *b"gdjrnl\x01\x00";

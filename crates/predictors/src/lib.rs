@@ -13,7 +13,8 @@
 //!   confidence mechanism (+2 on a correct prediction, −1 on an incorrect
 //!   one, confident when ≥ 4),
 //! * [`PredictorStats`] — accuracy / coverage accounting used by the
-//!   experiment harness.
+//!   experiment harness, and [`ProfileLoop`] — the §3 profile loop that
+//!   feeds it.
 //!
 //! # Predictors
 //!
@@ -70,7 +71,7 @@ pub use hybrid::{HybridChoice, HybridPredictor};
 pub use last_value::{LastNValuePredictor, LastValuePredictor};
 pub use markov::{MarkovConfig, MarkovPredictor};
 pub use pi::PiPredictor;
-pub use stats::PredictorStats;
+pub use stats::{PredictorStats, ProfileLoop, ProfileStep};
 pub use stride::StridePredictor;
 pub use table::{Capacity, PcTable, TableGeometry};
 

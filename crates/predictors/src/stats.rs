@@ -1,6 +1,9 @@
-//! Accuracy / coverage accounting shared by all experiments.
+//! Accuracy / coverage accounting shared by all experiments, and the §3
+//! profile loop that feeds it.
 
 use std::fmt;
+
+use crate::{ConfidenceTable, ValuePredictor};
 
 /// Accuracy and coverage accounting for one predictor over one value stream.
 ///
@@ -151,6 +154,112 @@ impl PredictorStats {
     }
 }
 
+/// The §3 profile loop: every value producer is predicted, scored and
+/// then used to update the predictor at once, in program order.
+///
+/// The loop is push-style — the caller hands it one producer at a time —
+/// so the one-shot harness run, the sweep's gated cells and a streamed
+/// serve session all drive the same code. It owns the warmup counter,
+/// the producer limit (`warmup + measure`, saturating) and the
+/// statistics; the predictor and the optional confidence table stay with
+/// the caller.
+///
+/// With a [`ConfidenceTable`] a prediction counts as *confident* when
+/// the table endorses it, and the table trains on every resolved
+/// prediction. Without one the run is ungated and every prediction
+/// counts as confident, so [`PredictorStats::coverage`] is the share of
+/// producers that got any prediction in both modes.
+///
+/// # Examples
+///
+/// ```
+/// use predictors::{Capacity, ProfileLoop, StridePredictor};
+///
+/// let mut p = StridePredictor::new(Capacity::Unbounded);
+/// let mut run = ProfileLoop::new(3, 4);
+/// for v in (0u64..10).map(|i| 100 + 4 * i) {
+///     run.step(&mut p, None, 0x400, v);
+/// }
+/// assert_eq!(run.producers(), 7); // the limit: 3 warmup + 4 measured
+/// assert_eq!(run.stats().total(), 4);
+/// assert_eq!(run.stats().accuracy(), 1.0);
+/// ```
+#[derive(Debug, Clone)]
+pub struct ProfileLoop {
+    warmup: u64,
+    limit: u64,
+    producers: u64,
+    stats: PredictorStats,
+}
+
+/// What [`ProfileLoop::step`] did with one producer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ProfileStep {
+    /// The predictor's output, gated or not.
+    pub predicted: Option<u64>,
+    /// Whether the producer was recorded (it lies past the warmup).
+    pub past_warmup: bool,
+}
+
+impl ProfileLoop {
+    /// A loop that skips `warmup` producers, then measures `measure`.
+    pub fn new(warmup: u64, measure: u64) -> Self {
+        ProfileLoop {
+            warmup,
+            limit: warmup.saturating_add(measure),
+            producers: 0,
+            stats: PredictorStats::new(),
+        }
+    }
+
+    /// Runs one value producer through predict → gate → record → train
+    /// → update. Returns `None`, touching nothing, once the limit is
+    /// reached.
+    #[inline]
+    pub fn step<P: ValuePredictor + ?Sized>(
+        &mut self,
+        predictor: &mut P,
+        mut conf: Option<&mut ConfidenceTable>,
+        pc: u64,
+        value: u64,
+    ) -> Option<ProfileStep> {
+        if self.producers >= self.limit {
+            return None;
+        }
+        let predicted = predictor.predict(pc);
+        let confident =
+            predicted.is_some() && conf.as_deref_mut().is_none_or(|c| c.is_confident(pc));
+        let past_warmup = self.producers >= self.warmup;
+        if past_warmup {
+            self.stats.record(predicted, confident, value);
+        }
+        if let (Some(p), Some(c)) = (predicted, conf) {
+            c.train(pc, p == value);
+        }
+        predictor.update(pc, value);
+        self.producers += 1;
+        Some(ProfileStep {
+            predicted,
+            past_warmup,
+        })
+    }
+
+    /// Producers consumed so far, warmup included.
+    pub fn producers(&self) -> u64 {
+        self.producers
+    }
+
+    /// The producer limit: `warmup + measure`, saturating at `u64::MAX`.
+    pub fn limit(&self) -> u64 {
+        self.limit
+    }
+
+    /// Statistics over the measured producers.
+    pub fn stats(&self) -> &PredictorStats {
+        &self.stats
+    }
+}
+
 fn ratio(num: u64, den: u64) -> f64 {
     if den == 0 {
         0.0
@@ -236,6 +345,80 @@ mod tests {
             parsed.path("gated_accuracy").and_then(|v| v.as_f64()),
             Some(1.0)
         );
+    }
+
+    /// Values with a repeating stride break every fourth producer, so a
+    /// stride predictor is right often but not always.
+    fn bumpy(n: u64) -> impl Iterator<Item = u64> {
+        (0..n).map(|i| 10 * i + if i % 4 == 0 { 3 } else { 0 })
+    }
+
+    #[test]
+    fn profile_loop_ungated_counts_every_prediction_as_confident() {
+        let mut p = crate::StridePredictor::new(crate::Capacity::Unbounded);
+        let mut run = ProfileLoop::new(4, 40);
+        for v in bumpy(100) {
+            run.step(&mut p, None, 0x40, v);
+        }
+        let s = run.stats();
+        assert_eq!(s.total(), 40);
+        assert!(s.correct() > 0 && s.correct() < s.predicted());
+        assert_eq!(s.confident(), s.predicted());
+        assert_eq!(s.confident_correct(), s.correct());
+        assert_eq!(s.coverage(), s.predicted() as f64 / s.total() as f64);
+    }
+
+    #[test]
+    fn profile_loop_gates_and_trains_a_confidence_table() {
+        let cap = crate::Capacity::Unbounded;
+        let mut p = crate::StridePredictor::new(cap);
+        let mut conf = ConfidenceTable::with_defaults(cap);
+        let mut run = ProfileLoop::new(0, u64::MAX);
+        // The reference: the same rule written out by hand.
+        let mut q = crate::StridePredictor::new(cap);
+        let mut qconf = ConfidenceTable::with_defaults(cap);
+        let mut want = PredictorStats::new();
+        for v in bumpy(200) {
+            run.step(&mut p, Some(&mut conf), 0x40, v);
+            let predicted = q.predict(0x40);
+            let confident = predicted.is_some() && qconf.is_confident(0x40);
+            want.record(predicted, confident, v);
+            if let Some(x) = predicted {
+                qconf.train(0x40, x == v);
+            }
+            q.update(0x40, v);
+        }
+        assert_eq!(run.stats(), &want);
+        assert!(want.confident() < want.predicted());
+        assert_eq!(conf.counter(0x40), qconf.counter(0x40));
+    }
+
+    #[test]
+    fn profile_loop_stops_at_a_saturated_limit() {
+        let run = ProfileLoop::new(u64::MAX, 1_000);
+        assert_eq!(run.limit(), u64::MAX);
+
+        let mut p = crate::LastValuePredictor::new(crate::Capacity::Unbounded);
+        let mut run = ProfileLoop::new(1, 1);
+        let steps: Vec<_> = (0..3).map(|v| run.step(&mut p, None, 0x40, v)).collect();
+        assert_eq!(
+            steps,
+            [
+                Some(ProfileStep {
+                    predicted: None,
+                    past_warmup: false
+                }),
+                Some(ProfileStep {
+                    predicted: Some(0),
+                    past_warmup: true
+                }),
+                None,
+            ]
+        );
+        // Past the limit the predictor is not trained either.
+        assert_eq!(p.predict(0x40), Some(1));
+        assert_eq!(run.producers(), 2);
+        assert_eq!(run.stats().total(), 1);
     }
 
     #[test]

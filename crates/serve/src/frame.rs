@@ -27,7 +27,7 @@
 
 use std::io::{self, Read, Write};
 
-use tracefile::crc32::crc32;
+use obs::crc32::crc32;
 
 /// Frame magic: "gSv1".
 pub const FRAME_MAGIC: [u8; 4] = *b"gSv1";

@@ -267,7 +267,7 @@ impl ServerState {
     fn publish_session(&self, core: &SessionCore) {
         let name = core.params().name.clone();
         let (chunks, records) = (core.chunks(), core.records());
-        let (acc, cov) = (core.stats().accuracy(), core.coverage());
+        let (acc, cov) = (core.stats().accuracy(), core.stats().coverage());
         let health = core.health().state().as_gauge();
         self.live.with(|r| {
             for (metric, v) in [("chunks", chunks), ("records", records)] {

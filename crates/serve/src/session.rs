@@ -2,17 +2,17 @@
 //!
 //! Each serve session owns exactly what a one-shot profile run owns — a
 //! [`GDiffPredictor`] (its table plus its Global Value Queue) and a
-//! [`PredictorStats`] — and drives them with the *same* loop
-//! `harness::profile::run_profile_on` uses: every value-producing
-//! instruction is predicted, recorded once past the warmup, and used to
-//! update the predictor, in program order, up to `warmup + measure`
-//! producers. That is what makes a streamed session's report bit-identical
-//! to the same-seed one-shot run.
+//! [`ProfileLoop`] — and pushes its producers through the *same*
+//! `ProfileLoop` type `harness::profile::run_profile_on` drives: every
+//! value-producing instruction is predicted, recorded once past the
+//! warmup, and used to update the predictor, in program order, up to
+//! `warmup + measure` producers. That is what makes a streamed session's
+//! report bit-identical to the same-seed one-shot run.
 
 use gdiff::GDiffPredictor;
 use obs::health::{HealthConfig, HealthEvent, HealthMonitor};
 use obs::JsonValue;
-use predictors::{Capacity, PredictorStats, ValuePredictor};
+use predictors::{Capacity, PredictorStats, ProfileLoop};
 use workloads::DynInst;
 
 /// Schema tag of the final session report payload.
@@ -165,9 +165,7 @@ impl SessionParams {
 pub struct SessionCore {
     params: SessionParams,
     predictor: GDiffPredictor,
-    stats: PredictorStats,
-    /// Value producers consumed so far (bounded by warmup + measure).
-    producers: u64,
+    run: ProfileLoop,
     /// Chunks processed (fed, not merely accepted).
     chunks: u64,
     /// Raw records fed (producers and non-producers alike).
@@ -189,11 +187,11 @@ impl SessionCore {
             Capacity::Entries(params.table)
         };
         let predictor = GDiffPredictor::with_delay(cap, params.order, params.delay);
+        let run = ProfileLoop::new(params.warmup, params.measure);
         SessionCore {
             params,
             predictor,
-            stats: PredictorStats::new(),
-            producers: 0,
+            run,
             chunks: 0,
             records: 0,
             health: HealthMonitor::new(HealthConfig::default()),
@@ -208,44 +206,34 @@ impl SessionCore {
 
     /// Feeds one decoded chunk through the profile-mode loop.
     ///
-    /// Mirrors `run_profile_on` exactly: non-producers are skipped,
-    /// producers past `warmup + measure` are ignored (the one-shot run's
-    /// `take`), each counted producer is predicted, recorded once past the
-    /// warmup, then used to update the predictor.
+    /// Non-producers are skipped; producers past `warmup + measure` are
+    /// ignored (the one-shot run's `take`).
     pub fn feed_chunk(&mut self, insts: &[DynInst]) {
-        let limit = self.params.warmup.saturating_add(self.params.measure);
         self.records += insts.len() as u64;
         self.chunks += 1;
-        for inst in insts {
-            if !inst.produces_value() {
-                continue;
-            }
-            if self.producers >= limit {
-                continue;
-            }
-            let predicted = self.predictor.predict(inst.pc);
-            let past_warmup = self.producers >= self.params.warmup;
-            if past_warmup {
-                self.stats.record(predicted, false, inst.value);
-            }
+        for inst in insts.iter().filter(|i| i.produces_value()) {
+            let Some(step) = self
+                .run
+                .step(&mut self.predictor, None, inst.pc, inst.value)
+            else {
+                break;
+            };
             // The health tap rides the same resolved stream the stats
             // see; it feeds journal events and HEALTH frames only, never
             // the deterministic report.
             if let Some(ev) = self.health.on_resolved(
-                predicted.is_some(),
-                predicted == Some(inst.value),
-                past_warmup,
+                step.predicted.is_some(),
+                step.predicted == Some(inst.value),
+                step.past_warmup,
             ) {
                 self.pending_health.push(ev);
             }
-            self.predictor.update(inst.pc, inst.value);
-            self.producers += 1;
         }
     }
 
     /// Accumulated accuracy statistics.
     pub fn stats(&self) -> &PredictorStats {
-        &self.stats
+        self.run.stats()
     }
 
     /// The online health monitor (read-only view).
@@ -285,20 +273,7 @@ impl SessionCore {
 
     /// Value producers consumed so far.
     pub fn producers(&self) -> u64 {
-        self.producers
-    }
-
-    /// Coverage as the serve layer reports it: the fraction of measured
-    /// producers that received *any* prediction (`predicted / total`).
-    /// Profile mode has no confidence gate, so the gated coverage of the
-    /// one-shot run is identically zero; this is the informative ratio,
-    /// and it is derived from the same counters the one-shot run produces.
-    pub fn coverage(&self) -> f64 {
-        if self.stats.total() == 0 {
-            0.0
-        } else {
-            self.stats.predicted() as f64 / self.stats.total() as f64
-        }
+        self.run.producers()
     }
 
     /// The cumulative progress object carried by ACK frames.
@@ -306,11 +281,11 @@ impl SessionCore {
         JsonValue::object()
             .with("chunks", self.chunks)
             .with("records", self.records)
-            .with("producers", self.producers)
-            .with("total", self.stats.total())
-            .with("predicted", self.stats.predicted())
-            .with("correct", self.stats.correct())
-            .with("accuracy", self.stats.accuracy())
+            .with("producers", self.producers())
+            .with("total", self.stats().total())
+            .with("predicted", self.stats().predicted())
+            .with("correct", self.stats().correct())
+            .with("accuracy", self.stats().accuracy())
     }
 
     /// The final [`REPORT_SCHEMA`] payload. `reason` is `"bye"` for a
@@ -322,18 +297,19 @@ impl SessionCore {
             .with("reason", reason)
             .with("chunks", self.chunks)
             .with("records", self.records)
-            .with("producers", self.producers)
-            .with("total", self.stats.total())
-            .with("predicted", self.stats.predicted())
-            .with("correct", self.stats.correct())
-            .with("accuracy", self.stats.accuracy())
-            .with("coverage", self.coverage())
+            .with("producers", self.producers())
+            .with("total", self.stats().total())
+            .with("predicted", self.stats().predicted())
+            .with("correct", self.stats().correct())
+            .with("accuracy", self.stats().accuracy())
+            .with("coverage", self.stats().coverage())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use predictors::ValuePredictor;
     use workloads::{Benchmark, SyntheticSource, TraceSource};
 
     fn hello(extra: impl FnOnce(&mut JsonValue)) -> JsonValue {
@@ -405,7 +381,7 @@ mod tests {
         let (warmup, measure) = (200u64, 1_500u64);
         let insts: Vec<DynInst> = source.stream(Benchmark::Gcc).take(6_000).collect();
 
-        // One-shot reference, the run_profile_on loop verbatim.
+        // Independent one-shot reference: the §3 rule written out inline.
         let mut reference = PredictorStats::new();
         let mut p = GDiffPredictor::new(Capacity::Unbounded, 8);
         for (n, inst) in insts
@@ -416,7 +392,7 @@ mod tests {
         {
             let predicted = p.predict(inst.pc);
             if (n as u64) >= warmup {
-                reference.record(predicted, false, inst.value);
+                reference.record(predicted, predicted.is_some(), inst.value);
             }
             p.update(inst.pc, inst.value);
         }

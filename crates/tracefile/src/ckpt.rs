@@ -48,7 +48,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
-use crate::crc32::crc32;
+use obs::crc32::crc32;
 
 /// Leading file magic (includes a format generation byte).
 pub const CKPT_MAGIC: [u8; 8] = *b"gdswpck\x01";

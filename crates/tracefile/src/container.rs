@@ -54,7 +54,7 @@ use workloads::trace::ParseTraceError;
 use workloads::DynInst;
 
 use crate::codec::{decode_payload, encode_inst, DeltaState};
-use crate::crc32::crc32;
+use obs::crc32::crc32;
 
 /// Leading file magic (includes a format generation byte).
 pub const MAGIC: [u8; 8] = *b"gdtrace\x01";

@@ -51,7 +51,6 @@ pub mod ckpt;
 pub mod codec;
 pub mod container;
 pub mod convert;
-pub mod crc32;
 mod source;
 pub mod stream;
 pub mod varint;

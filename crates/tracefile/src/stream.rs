@@ -45,7 +45,7 @@ use workloads::DynInst;
 
 use crate::codec::{decode_payload, encode_inst, DeltaState, MAX_RECORD_LEN};
 use crate::container::{TraceFileError, CHUNK_HEADER_LEN, HEADER_LEN, MAGIC, VERSION};
-use crate::crc32::crc32;
+use obs::crc32::crc32;
 
 /// The reserved stream id that marks the end of a footerless stream.
 pub const END_STREAM_ID: u32 = u32::MAX;

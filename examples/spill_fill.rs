@@ -9,25 +9,20 @@
 use gdiff::GDiffPredictor;
 use predictors::{
     Capacity, DfcmPredictor, GlobalContextPredictor, HybridPredictor, LastValuePredictor,
-    PiPredictor, PredictorStats, StridePredictor, ValuePredictor,
+    PiPredictor, PredictorStats, ProfileLoop, StridePredictor, ValuePredictor,
 };
 use workloads::Benchmark;
 
 fn score(bench: Benchmark, p: &mut dyn ValuePredictor) -> PredictorStats {
-    let mut stats = PredictorStats::new();
-    for (n, inst) in bench
+    let mut run = ProfileLoop::new(50_000, 350_000);
+    for inst in bench
         .build(42)
         .filter(|i| i.produces_value())
-        .take(400_000)
-        .enumerate()
+        .take(run.limit() as usize)
     {
-        let predicted = p.predict(inst.pc);
-        if n >= 50_000 {
-            stats.record(predicted, false, inst.value);
-        }
-        p.update(inst.pc, inst.value);
+        run.step(p, None, inst.pc, inst.value);
     }
-    stats
+    *run.stats()
 }
 
 fn main() {

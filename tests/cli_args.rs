@@ -288,6 +288,15 @@ fn sweep_grid_specs_are_validated() {
         "below the",
     );
     assert_usage_error(&["sweep", "--grid", "order 4", "--dry-run"], "key=values");
+    assert_usage_error(
+        &[
+            "sweep",
+            "--grid",
+            "order=8;depth=0;threshold=0;delay=0;bench=gcc;warmup=18446744073709551615;measure=1000",
+            "--dry-run",
+        ],
+        "warmup",
+    );
 }
 
 #[test]

@@ -113,7 +113,7 @@ fn corrupted_checkpoint_is_recomputed_not_trusted() {
 
 fn grid_hash(dir: &Path) -> u32 {
     let spec = std::fs::read_to_string(dir.join("grid.spec")).expect("grid.spec");
-    tracefile::crc32::crc32(spec.as_bytes())
+    obs::crc32::crc32(spec.as_bytes())
 }
 
 #[test]
