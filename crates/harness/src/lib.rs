@@ -32,6 +32,7 @@
 pub mod addr;
 pub mod benchdiff;
 pub mod cells;
+pub mod cli;
 pub mod explain;
 pub mod grid;
 pub mod hotpath;

@@ -1,32 +1,10 @@
-//! Experiment driver: `cargo run -p harness --release -- <experiment>`.
-//!
-//! Experiments: fig1 fig8 fig9 fig10 fig12 fig13 fig16 fig18a fig18b
-//! table2 fig19 ablate-queue ablate-filler ablate-confidence all
-//!
-//! Options: `--scale <f>` multiplies run sizes (default 1.0),
-//! `--seed <n>` sets the workload seed (default 42),
-//! `--jobs <n>` / `-j<n>` sets the worker count (default: all cores);
-//! output is byte-identical for every worker count,
-//! `--json <path|->` writes a machine-readable run report,
-//! `--trace-last <n>` records pipeline trace events and dumps the last n,
-//! `--timeline <path>` exports a Chrome trace-event timeline of the run,
-//! `--live-metrics <path|->` streams periodic NDJSON metric snapshots.
-//!
-//! Subcommands: `record --out <file> <experiment>...` captures the
-//! instruction streams the named experiments consume into a binary trace
-//! container; `replay <file>` re-runs those experiments from the capture
-//! (same numbers, no synthesis); `convert <in> <out>` translates between
-//! the text trace format and the binary container (direction sniffed from
-//! the input's magic bytes); `export-metrics <experiment>...` runs
-//! experiments and prints the merged registry in Prometheus text format;
-//! `bench-diff <old.json> <new.json>` compares two run reports and fails
-//! past a regression threshold; `serve` runs the `gdiff-serve/v1`
-//! multi-session prediction daemon (Unix socket, `--stdio`, or
-//! `--selftest`); `serve-client` streams a trace or synthesized benchmark
-//! to a running daemon and prints the returned report; `logs` reads and
-//! pretty-prints the structured binary journal that `--log` writes.
+//! The `harness` binary: `cargo run -p harness --release -- <experiment>`
+//! regenerates the paper's exhibits, and its subcommands record, replay,
+//! explain, export, diff, serve and sweep them. [`print_usage`] (`harness
+//! --help`) documents every subcommand and flag.
 
 use harness::cells::{plan_for, ALL_EXPERIMENTS};
+use harness::cli::{self, Args, Usage};
 use harness::record::{open_replay, record};
 use harness::report::{RunReport, Table};
 use harness::sched::{default_jobs, run_plans, run_plans_live};
@@ -62,242 +40,107 @@ macro_rules! outln {
     };
 }
 
-/// Command-line options, parsed without panicking.
-struct Options {
-    scale: f64,
-    seed: u64,
-    /// `--jobs <n>` / `-j<n>`; `None` means one worker per core.
-    jobs: Option<usize>,
-    /// `--json <path>`; `-` means stdout.
-    json: Option<String>,
-    /// `--trace-last <n>`: ring capacity and dump size.
-    trace_last: Option<usize>,
-    /// `--timeline <path>`: Chrome trace-event JSON destination.
-    timeline: Option<String>,
-    /// `--live-metrics <path>`; `-` means stdout (tables move to stderr).
-    live_metrics: Option<String>,
-    /// `--live-interval-ms <n>`: snapshot period for `--live-metrics`.
-    live_interval_ms: u64,
-    /// `--hotpath-bench`: measure the update hot path and report it.
-    hotpath_bench: bool,
-    /// `--log <path>`: structured journal destination (live-only).
-    log: Option<String>,
-    /// `--log-level <level>`: minimum journal level (default info).
-    log_level: obs::log::Level,
-    experiments: Vec<String>,
-}
-
-/// Parses the argument list. On error, returns the message to print before
-/// usage + exit 2.
-fn parse_args(args: Vec<String>) -> Result<Options, String> {
-    let mut opts = Options {
-        scale: 1.0,
-        seed: 42,
-        jobs: None,
-        json: None,
-        trace_last: None,
-        timeline: None,
-        live_metrics: None,
-        live_interval_ms: 250,
-        hotpath_bench: false,
-        log: None,
-        log_level: obs::log::Level::Info,
-        experiments: Vec::new(),
-    };
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--scale" => opts.scale = parse_value(&a, it.next())?,
-            "--seed" => opts.seed = parse_value(&a, it.next())?,
-            "--trace-last" => opts.trace_last = Some(parse_trace_last(&a, it.next())?),
-            "--jobs" | "-j" => opts.jobs = Some(parse_jobs(&a, it.next())?),
-            "--json" => {
-                opts.json = Some(
-                    it.next()
-                        .ok_or_else(|| format!("{a} needs a value (a path or -)"))?,
-                )
-            }
-            "--timeline" => {
-                opts.timeline = Some(
-                    it.next()
-                        .ok_or_else(|| format!("{a} needs a value (a file path)"))?,
-                )
-            }
-            "--live-metrics" => {
-                opts.live_metrics = Some(
-                    it.next()
-                        .ok_or_else(|| format!("{a} needs a value (a path or -)"))?,
-                )
-            }
-            "--live-interval-ms" => {
-                let n: u64 = parse_value(&a, it.next())?;
-                if n == 0 {
-                    return Err(format!("{a}: interval must be at least 1 ms"));
-                }
-                opts.live_interval_ms = n;
-            }
-            "--hotpath-bench" => opts.hotpath_bench = true,
-            "--log" => {
-                opts.log = Some(
-                    it.next()
-                        .ok_or_else(|| format!("{a} needs a value (a journal path)"))?,
-                )
-            }
-            "--log-level" => opts.log_level = parse_level(&a, it.next())?,
-            "--help" | "-h" => return Err(String::new()),
-            other if other.starts_with("--") => return Err(format!("unknown option: {other}")),
-            // Attached worker count: -j4.
-            other if other.starts_with("-j") => {
-                opts.jobs = Some(parse_jobs("-j", Some(other[2..].to_string()))?)
-            }
-            other if other.starts_with('-') => return Err(format!("unknown option: {other}")),
-            other => opts.experiments.push(other.to_string()),
-        }
-    }
-    Ok(opts)
-}
-
-fn parse_value<T: std::str::FromStr>(flag: &str, value: Option<String>) -> Result<T, String> {
-    let v = value.ok_or_else(|| format!("{flag} needs a value"))?;
-    v.parse()
-        .map_err(|_| format!("{flag}: invalid value '{v}'"))
-}
-
-fn parse_jobs(flag: &str, value: Option<String>) -> Result<usize, String> {
-    let n: usize = parse_value(flag, value)?;
-    if n == 0 {
-        return Err(format!("{flag}: worker count must be at least 1"));
-    }
-    Ok(n)
-}
-
-fn parse_trace_last(flag: &str, value: Option<String>) -> Result<usize, String> {
-    let n: usize = parse_value(flag, value)?;
-    if n == 0 {
-        return Err(format!("{flag}: event count must be at least 1"));
-    }
-    Ok(n)
-}
-
-fn parse_level(flag: &str, value: Option<String>) -> Result<obs::log::Level, String> {
-    serve_cli::parse_level(flag, value)
-}
+/// A subcommand: reads its flags from the cursor, then runs. Runtime
+/// failures exit 1 on the spot; a `Usage` goes back to `main`.
+type Command = fn(&mut Args) -> Result<(), Usage>;
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("record") => {
-            args.remove(0);
-            main_record(args)
+    let mut toks: Vec<String> = std::env::args().skip(1).collect();
+    let sub: Option<Command> = match toks.first().map(String::as_str) {
+        Some("record") => Some(main_record),
+        Some("replay") => Some(main_replay),
+        Some("convert") => Some(main_convert),
+        Some("explain") => Some(main_explain),
+        Some("export-metrics") => Some(main_export_metrics),
+        Some("bench-diff") => Some(main_bench_diff),
+        Some("serve") => Some(main_serve),
+        Some("serve-client") => Some(main_serve_client),
+        Some("logs") => Some(main_logs),
+        Some("sweep") => Some(main_sweep),
+        Some("sweep-worker") => Some(main_sweep_worker),
+        _ => None,
+    };
+    let (cmd, run) = match sub {
+        Some(run) => (toks.remove(0), run),
+        None => (String::new(), main_run as Command),
+    };
+    match run(&mut Args::new(cmd, toks)) {
+        Ok(()) => {}
+        Err(Usage::Help) => print_usage(),
+        Err(Usage::Error(msg)) => {
+            eprintln!("error: {msg}");
+            print_usage();
+            std::process::exit(2);
         }
-        Some("replay") => {
-            args.remove(0);
-            main_replay(args)
-        }
-        Some("convert") => {
-            args.remove(0);
-            main_convert(args)
-        }
-        Some("explain") => {
-            args.remove(0);
-            main_explain(args)
-        }
-        Some("export-metrics") => {
-            args.remove(0);
-            main_export_metrics(args)
-        }
-        Some("bench-diff") => {
-            args.remove(0);
-            main_bench_diff(args)
-        }
-        Some("serve") => {
-            args.remove(0);
-            main_serve(args)
-        }
-        Some("serve-client") => {
-            args.remove(0);
-            main_serve_client(args)
-        }
-        Some("logs") => {
-            args.remove(0);
-            main_logs(args)
-        }
-        Some("sweep") => {
-            args.remove(0);
-            main_sweep(args)
-        }
-        Some("sweep-worker") => {
-            args.remove(0);
-            main_sweep_worker(args)
-        }
-        _ => main_run(args),
     }
-}
-
-fn usage_error(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    print_usage();
-    std::process::exit(2);
 }
 
 /// Expands `all` and validates every experiment name up front so a typo
 /// late in the list doesn't discard an hour of completed experiments.
-fn select_experiments(named: &[String]) -> Vec<String> {
+fn select_experiments(named: &[String]) -> Result<Vec<String>, Usage> {
     if named.is_empty() {
-        usage_error("no experiment named");
+        return Err("no experiment named".into());
     }
     let selected: Vec<String> = if named.iter().any(|e| e == "all") {
         ALL_EXPERIMENTS.iter().map(|s| s.to_string()).collect()
     } else {
         named.to_vec()
     };
-    for exp in &selected {
-        if !ALL_EXPERIMENTS.contains(&exp.as_str()) {
-            usage_error(&format!("unknown experiment: {exp}"));
-        }
+    if let Some(exp) = selected
+        .iter()
+        .find(|e| !ALL_EXPERIMENTS.contains(&e.as_str()))
+    {
+        return Err(format!("unknown experiment: {exp}").into());
     }
-    selected
+    Ok(selected)
 }
 
-fn main_run(args: Vec<String>) {
-    let opts = match parse_args(args) {
-        Ok(o) => o,
-        Err(msg) => {
-            if msg.is_empty() {
-                // --help
-                print_usage();
-                return;
-            }
-            usage_error(&msg);
+/// The default profile and pipeline run sizes, scaled and seeded.
+fn run_params(scale: f64, seed: u64) -> (RunParams, RunParams) {
+    let mut profile = RunParams::profile_default().scaled(scale);
+    let mut pipeline = RunParams::pipeline_default().scaled(scale);
+    profile.seed = seed;
+    pipeline.seed = seed;
+    (profile, pipeline)
+}
+
+fn main_run(args: &mut Args) -> Result<(), Usage> {
+    let mut scale = 1.0f64;
+    let mut seed = 42u64;
+    let mut jobs = None;
+    let mut flags = RunFlags::default();
+    let mut experiments = Vec::new();
+    while let Some(a) = args.token()? {
+        match a.as_str() {
+            "--scale" => scale = args.parse(&a)?,
+            "--seed" => seed = args.parse(&a)?,
+            "--jobs" | "-j" => jobs = Some(args.count(&a)?),
+            "--json" => flags.json = Some(args.string(&a)?),
+            "--trace-last" => flags.trace_last = Some(args.count(&a)?),
+            "--timeline" => flags.timeline = Some(args.string(&a)?),
+            "--live-metrics" => flags.live_metrics = Some(args.string(&a)?),
+            "--live-interval-ms" => flags.live_interval_ms = args.count(&a)?,
+            "--hotpath-bench" => flags.hotpath = true,
+            "--log" => flags.log = Some(args.string(&a)?),
+            "--log-level" => flags.log_level = args.level(&a)?,
+            other if other.starts_with('-') => return Err(args.unknown(other)),
+            _ => experiments.push(a),
         }
-    };
-    if opts.json.as_deref() == Some("-") || opts.live_metrics.as_deref() == Some("-") {
-        TABLES_TO_STDERR.store(true, Ordering::Relaxed);
     }
-    let selected = select_experiments(&opts.experiments);
-    let mut profile = RunParams::profile_default().scaled(opts.scale);
-    let mut pipelinep = RunParams::pipeline_default().scaled(opts.scale);
-    profile.seed = opts.seed;
-    pipelinep.seed = opts.seed;
-    let source = SyntheticSource::new(opts.seed);
+    let selected = select_experiments(&experiments)?;
+    let (profile, pipeline) = run_params(scale, seed);
     execute(Execution {
-        source: &source,
+        source: &SyntheticSource::new(seed),
         selected: &selected,
         profile,
-        pipeline: pipelinep,
-        seed: opts.seed,
-        scale: opts.scale,
-        jobs: opts.jobs.unwrap_or_else(default_jobs),
-        json: opts.json,
-        trace_last: opts.trace_last,
-        timeline: opts.timeline,
-        live_metrics: opts.live_metrics,
-        live_interval_ms: opts.live_interval_ms,
-        hotpath: opts.hotpath_bench,
-        log: opts.log,
-        log_level: opts.log_level,
+        pipeline,
+        seed,
+        scale,
+        jobs: jobs.unwrap_or_else(default_jobs),
+        flags,
         sections: Vec::new(),
     });
+    Ok(())
 }
 
 /// One experiment sweep: the instruction origin, what to run, and how to
@@ -312,13 +155,23 @@ struct Execution<'a> {
     scale: f64,
     /// Scheduler worker count (replay forces 1).
     jobs: usize,
+    flags: RunFlags,
+    /// Extra report sections (e.g. replay's tracefile metrics).
+    sections: Vec<(String, JsonValue)>,
+}
+
+/// The output and telemetry flags of an experiment run. The direct run
+/// parses all of them; replay parses its subset and keeps the defaults.
+struct RunFlags {
+    /// `--json`: run report destination (`-`: stdout).
     json: Option<String>,
+    /// `--trace-last`: trace ring capacity and dump size.
     trace_last: Option<usize>,
     /// `--timeline`: Chrome trace-event JSON destination.
     timeline: Option<String>,
     /// `--live-metrics`: NDJSON snapshot stream destination (`-`: stdout).
     live_metrics: Option<String>,
-    /// Snapshot period for `--live-metrics`.
+    /// `--live-interval-ms`: snapshot period for `--live-metrics`.
     live_interval_ms: u64,
     /// `--hotpath-bench`: append the update-path timing section.
     hotpath: bool,
@@ -326,10 +179,23 @@ struct Execution<'a> {
     /// the `--json` report, and replay outputs are byte-identical with
     /// the journal on or off.
     log: Option<String>,
-    /// Minimum journal level for `--log`.
+    /// `--log-level`: minimum journal level.
     log_level: obs::log::Level,
-    /// Extra report sections (e.g. replay's tracefile metrics).
-    sections: Vec<(String, JsonValue)>,
+}
+
+impl Default for RunFlags {
+    fn default() -> Self {
+        RunFlags {
+            json: None,
+            trace_last: None,
+            timeline: None,
+            live_metrics: None,
+            live_interval_ms: 250,
+            hotpath: false,
+            log: None,
+            log_level: obs::log::Level::Info,
+        }
+    }
 }
 
 /// Event capacity of the `--timeline` buffer: a full `all -j8` run emits
@@ -342,14 +208,19 @@ const TIMELINE_CAPACITY: usize = 64 * 1024;
 const LIVE_RING_CAP: usize = 1024;
 
 fn execute(x: Execution<'_>) {
-    let journal =
-        match serve_cli::enable_journal(x.log.as_deref().map(std::path::Path::new), x.log_level) {
-            Ok(j) => j,
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(1);
-            }
-        };
+    if x.flags.json.as_deref() == Some("-") || x.flags.live_metrics.as_deref() == Some("-") {
+        TABLES_TO_STDERR.store(true, Ordering::Relaxed);
+    }
+    let journal = match serve_cli::enable_journal(
+        x.flags.log.as_deref().map(std::path::Path::new),
+        x.flags.log_level,
+    ) {
+        Ok(j) => j,
+        Err(e) => {
+            eprintln!("error: {e}");
+            std::process::exit(1);
+        }
+    };
     obs::log::info(
         "harness.run",
         "run started",
@@ -360,18 +231,18 @@ fn execute(x: Execution<'_>) {
             ("scale", obs::log::Value::from(x.scale)),
         ],
     );
-    if let Some(n) = x.trace_last {
-        tracer().enable(n.max(1));
+    if let Some(n) = x.flags.trace_last {
+        tracer().enable(n);
     }
-    if x.timeline.is_some() {
+    if x.flags.timeline.is_some() {
         obs::timeline::enable(TIMELINE_CAPACITY);
         obs::timeline::set_thread_name("main");
     }
     // Live telemetry rides beside the deterministic outputs: workers merge
     // finished cells into this shared registry in completion order, and the
     // sampler streams delta snapshots; none of it feeds back into `master`.
-    let live = x.live_metrics.as_ref().map(|_| SharedRegistry::new());
-    let sampler = x.live_metrics.as_ref().map(|dest| {
+    let live = x.flags.live_metrics.as_ref().map(|_| SharedRegistry::new());
+    let sampler = x.flags.live_metrics.as_ref().map(|dest| {
         let writer: Box<dyn std::io::Write + Send> = if dest == "-" {
             Box::new(std::io::stdout())
         } else {
@@ -385,7 +256,7 @@ fn execute(x: Execution<'_>) {
         };
         Sampler::start(
             live.clone().expect("live registry exists"),
-            Duration::from_millis(x.live_interval_ms),
+            Duration::from_millis(x.flags.live_interval_ms),
             LIVE_RING_CAP,
             Some(writer),
         )
@@ -421,7 +292,7 @@ fn execute(x: Execution<'_>) {
     // Timeline teardown happens before the sampler's final snapshot so a
     // ring overflow surfaces in the live stream (`timeline.dropped_events`)
     // as well as the journal — not just in a stderr afterthought.
-    if let Some(dest) = &x.timeline {
+    if let Some(dest) = &x.flags.timeline {
         obs::timeline::disable();
         let dropped = obs::timeline::dropped();
         if dropped > 0 {
@@ -458,7 +329,7 @@ fn execute(x: Execution<'_>) {
         );
     }
 
-    if let Some(n) = x.trace_last {
+    if let Some(n) = x.flags.trace_last {
         tracer().disable();
         let events = tracer().last(n);
         eprintln!(
@@ -485,7 +356,7 @@ fn execute(x: Execution<'_>) {
             .with("runs", memo.counts().to_json()),
     );
     report.add_section("metrics", master.to_json());
-    if x.hotpath {
+    if x.flags.hotpath {
         // Timed in-process, outside `experiments`, so bench-diff gates
         // never see machine-speed noise.
         let points = harness::measure_hotpath();
@@ -496,7 +367,7 @@ fn execute(x: Execution<'_>) {
         report.add_section(&name, section);
     }
 
-    if let Some(dest) = &x.json {
+    if let Some(dest) = &x.flags.json {
         let text = report.finish().to_json_pretty();
         if dest == "-" {
             println!("{text}");
@@ -524,46 +395,23 @@ fn execute(x: Execution<'_>) {
     }
 }
 
-fn main_record(args: Vec<String>) {
-    let mut out: Option<String> = None;
+fn main_record(args: &mut Args) -> Result<(), Usage> {
     let mut scale = 1.0f64;
     let mut seed = 42u64;
+    let mut out = None;
     let mut experiments = Vec::new();
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
+    while let Some(a) = args.token()? {
         match a.as_str() {
-            "--out" => {
-                out = Some(match it.next() {
-                    Some(v) => v,
-                    None => usage_error("--out needs a value (a file path)"),
-                })
-            }
-            "--scale" => match parse_value(&a, it.next()) {
-                Ok(v) => scale = v,
-                Err(m) => usage_error(&m),
-            },
-            "--seed" => match parse_value(&a, it.next()) {
-                Ok(v) => seed = v,
-                Err(m) => usage_error(&m),
-            },
-            "--help" | "-h" => {
-                print_usage();
-                return;
-            }
-            other if other.starts_with('-') => {
-                usage_error(&format!("unknown record option: {other}"))
-            }
-            other => experiments.push(other.to_string()),
+            "--out" => out = Some(args.string(&a)?),
+            "--scale" => scale = args.parse(&a)?,
+            "--seed" => seed = args.parse(&a)?,
+            other if other.starts_with('-') => return Err(args.unknown(other)),
+            _ => experiments.push(a),
         }
     }
-    let Some(out) = out else {
-        usage_error("record needs --out FILE");
-    };
-    let selected = select_experiments(&experiments);
-    let mut profile = RunParams::profile_default().scaled(scale);
-    let mut pipelinep = RunParams::pipeline_default().scaled(scale);
-    profile.seed = seed;
-    pipelinep.seed = seed;
+    let out = out.ok_or("record needs --out FILE")?;
+    let selected = select_experiments(&experiments)?;
+    let (profile, pipelinep) = run_params(scale, seed);
 
     let mut registry = Registry::new();
     let rep = match record(&out, &selected, profile, pipelinep, scale, &mut registry) {
@@ -593,54 +441,23 @@ fn main_record(args: Vec<String>) {
         rep.insts_per_sec,
         rep.mib_per_sec
     );
+    Ok(())
 }
 
-fn main_replay(args: Vec<String>) {
-    let mut file: Option<String> = None;
-    let mut json: Option<String> = None;
-    let mut trace_last: Option<usize> = None;
-    let mut log: Option<String> = None;
-    let mut log_level = obs::log::Level::Info;
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
+fn main_replay(args: &mut Args) -> Result<(), Usage> {
+    let mut file = None;
+    let mut flags = RunFlags::default();
+    while let Some(a) = args.token()? {
         match a.as_str() {
-            "--json" => {
-                json = Some(match it.next() {
-                    Some(v) => v,
-                    None => usage_error("--json needs a value (a path or -)"),
-                })
-            }
-            "--trace-last" => match parse_trace_last(&a, it.next()) {
-                Ok(v) => trace_last = Some(v),
-                Err(m) => usage_error(&m),
-            },
-            "--log" => {
-                log = Some(match it.next() {
-                    Some(v) => v,
-                    None => usage_error("--log needs a value (a journal path)"),
-                })
-            }
-            "--log-level" => match parse_level(&a, it.next()) {
-                Ok(v) => log_level = v,
-                Err(m) => usage_error(&m),
-            },
-            "--help" | "-h" => {
-                print_usage();
-                return;
-            }
-            other if other.starts_with('-') => {
-                usage_error(&format!("unknown replay option: {other}"))
-            }
-            other if file.is_none() => file = Some(other.to_string()),
-            other => usage_error(&format!("unexpected argument: {other}")),
+            "--json" => flags.json = Some(args.string(&a)?),
+            "--trace-last" => flags.trace_last = Some(args.count(&a)?),
+            "--log" => flags.log = Some(args.string(&a)?),
+            "--log-level" => flags.log_level = args.level(&a)?,
+            other if other.starts_with('-') => return Err(args.unknown(other)),
+            _ => cli::once(&mut file, a)?,
         }
     }
-    let Some(file) = file else {
-        usage_error("replay needs a trace file");
-    };
-    if json.as_deref() == Some("-") {
-        TABLES_TO_STDERR.store(true, Ordering::Relaxed);
-    }
+    let file = file.ok_or("replay needs a trace file")?;
 
     let mut registry = Registry::new();
     let plan = match open_replay(&file, &mut registry) {
@@ -667,85 +484,45 @@ fn main_replay(args: Vec<String>) {
         // Replay streams the capture sequentially; parallel cells would
         // contend for the reader, so replay always runs single-worker.
         jobs: 1,
-        json,
-        trace_last,
-        timeline: None,
-        live_metrics: None,
-        live_interval_ms: 250,
-        hotpath: false,
-        log,
-        log_level,
+        flags,
         sections: vec![("tracefile".to_string(), registry.to_json())],
     });
+    Ok(())
 }
 
-fn main_explain(args: Vec<String>) {
+fn main_explain(args: &mut Args) -> Result<(), Usage> {
     let mut scale = 1.0f64;
     let mut seed = 42u64;
-    let mut jobs: Option<usize> = None;
-    let mut json: Option<String> = None;
+    let mut jobs = None;
+    let mut json = None;
     let mut top = harness::explain::DEFAULT_TOP;
     let mut dump = false;
-    let mut exp: Option<String> = None;
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
+    let mut exp = None;
+    while let Some(a) = args.token()? {
         match a.as_str() {
-            "--scale" => match parse_value(&a, it.next()) {
-                Ok(v) => scale = v,
-                Err(m) => usage_error(&m),
-            },
-            "--seed" => match parse_value(&a, it.next()) {
-                Ok(v) => seed = v,
-                Err(m) => usage_error(&m),
-            },
-            "--top" => match parse_value(&a, it.next()) {
-                Ok(v) => top = v,
-                Err(m) => usage_error(&m),
-            },
-            "--jobs" | "-j" => match parse_jobs(&a, it.next()) {
-                Ok(v) => jobs = Some(v),
-                Err(m) => usage_error(&m),
-            },
-            "--json" => {
-                json = Some(match it.next() {
-                    Some(v) => v,
-                    None => usage_error("--json needs a value (a path or -)"),
-                })
-            }
+            "--scale" => scale = args.parse(&a)?,
+            "--seed" => seed = args.parse(&a)?,
+            "--top" => top = args.parse(&a)?,
+            "--jobs" | "-j" => jobs = Some(args.count(&a)?),
+            "--json" => json = Some(args.string(&a)?),
             "--dump-provenance" => dump = true,
-            "--help" | "-h" => {
-                print_usage();
-                return;
-            }
-            other if other.starts_with("-j") && other.len() > 2 => {
-                match parse_jobs("-j", Some(other[2..].to_string())) {
-                    Ok(v) => jobs = Some(v),
-                    Err(m) => usage_error(&m),
-                }
-            }
-            other if other.starts_with('-') => {
-                usage_error(&format!("unknown explain option: {other}"))
-            }
-            other if exp.is_none() => exp = Some(other.to_string()),
-            other => usage_error(&format!("unexpected argument: {other}")),
+            other if other.starts_with('-') => return Err(args.unknown(other)),
+            _ => cli::once(&mut exp, a)?,
         }
     }
-    let Some(exp) = exp else {
-        usage_error("explain needs an experiment (fig13 or fig16)");
-    };
+    let exp = exp.ok_or("explain needs an experiment (fig13 or fig16)")?;
     if json.as_deref() == Some("-") {
         TABLES_TO_STDERR.store(true, Ordering::Relaxed);
     }
 
-    let mut params = RunParams::pipeline_default().scaled(scale);
-    params.seed = seed;
+    let (_, params) = run_params(scale, seed);
     let source = SyntheticSource::new(seed);
-    let Some(plan) = harness::explain_plan(&exp, &source, params, top, dump) else {
-        usage_error(&format!(
+    let plan = harness::explain_plan(&exp, &source, params, top, dump).ok_or_else(|| {
+        format!(
             "explain supports {}, not {exp}",
             harness::EXPLAIN_EXPERIMENTS.join(" and ")
-        ));
-    };
+        )
+    })?;
 
     let mut master = Registry::new();
     let mut section: Option<JsonValue> = None;
@@ -777,18 +554,19 @@ fn main_explain(args: Vec<String>) {
             std::process::exit(1);
         }
     }
+    Ok(())
 }
 
-fn main_convert(args: Vec<String>) {
-    let positional: Vec<&String> = args.iter().filter(|a| !a.starts_with('-')).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        print_usage();
-        return;
+fn main_convert(args: &mut Args) -> Result<(), Usage> {
+    let mut files = Vec::new();
+    while let Some(a) = args.token()? {
+        if a.starts_with('-') {
+            return Err(args.unknown(&a));
+        }
+        files.push(a);
     }
-    if positional.len() != 2 || args.len() != 2 {
-        usage_error("convert takes exactly: convert IN OUT");
-    }
-    let (input, output) = (positional[0].clone(), positional[1].clone());
+    let [input, output] =
+        <[String; 2]>::try_from(files).map_err(|_| "convert takes exactly: convert IN OUT")?;
     match convert_any(&input, &output) {
         Ok(stats) => outln!(
             "converted {} instructions: {} text bytes <-> {} binary bytes",
@@ -801,6 +579,7 @@ fn main_convert(args: Vec<String>) {
             std::process::exit(1);
         }
     }
+    Ok(())
 }
 
 /// `export-metrics`: run experiments and print the merged registry (plus
@@ -808,56 +587,26 @@ fn main_convert(args: Vec<String>) {
 /// stderr; stdout carries only the exposition so it pipes cleanly into
 /// scrape tooling — the same rendering a future serve daemon's `/metrics`
 /// endpoint will return.
-fn main_export_metrics(args: Vec<String>) {
+fn main_export_metrics(args: &mut Args) -> Result<(), Usage> {
     let mut scale = 1.0f64;
     let mut seed = 42u64;
-    let mut jobs: Option<usize> = None;
-    let mut out: Option<String> = None;
+    let mut jobs = None;
+    let mut out = None;
     let mut experiments = Vec::new();
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
+    while let Some(a) = args.token()? {
         match a.as_str() {
-            "--scale" => match parse_value(&a, it.next()) {
-                Ok(v) => scale = v,
-                Err(m) => usage_error(&m),
-            },
-            "--seed" => match parse_value(&a, it.next()) {
-                Ok(v) => seed = v,
-                Err(m) => usage_error(&m),
-            },
-            "--jobs" | "-j" => match parse_jobs(&a, it.next()) {
-                Ok(v) => jobs = Some(v),
-                Err(m) => usage_error(&m),
-            },
-            "--out" => {
-                out = Some(match it.next() {
-                    Some(v) => v,
-                    None => usage_error("--out needs a value (a file path)"),
-                })
-            }
-            "--help" | "-h" => {
-                print_usage();
-                return;
-            }
-            other if other.starts_with("-j") && other.len() > 2 => {
-                match parse_jobs("-j", Some(other[2..].to_string())) {
-                    Ok(v) => jobs = Some(v),
-                    Err(m) => usage_error(&m),
-                }
-            }
-            other if other.starts_with('-') => {
-                usage_error(&format!("unknown export-metrics option: {other}"))
-            }
-            other => experiments.push(other.to_string()),
+            "--scale" => scale = args.parse(&a)?,
+            "--seed" => seed = args.parse(&a)?,
+            "--jobs" | "-j" => jobs = Some(args.count(&a)?),
+            "--out" => out = Some(args.string(&a)?),
+            other if other.starts_with('-') => return Err(args.unknown(other)),
+            _ => experiments.push(a),
         }
     }
+    let selected = select_experiments(&experiments)?;
     // Stdout is the exposition; everything human-readable moves aside.
     TABLES_TO_STDERR.store(true, Ordering::Relaxed);
-    let selected = select_experiments(&experiments);
-    let mut profile = RunParams::profile_default().scaled(scale);
-    let mut pipelinep = RunParams::pipeline_default().scaled(scale);
-    profile.seed = seed;
-    pipelinep.seed = seed;
+    let (profile, pipelinep) = run_params(scale, seed);
     let source = SyntheticSource::new(seed);
     let memo = RunMemo::new(&source);
     let plans = selected
@@ -885,37 +634,32 @@ fn main_export_metrics(args: Vec<String>) {
         }
         None => print!("{text}"),
     }
+    Ok(())
 }
 
 /// `bench-diff`: compare the `experiments` sections of two run reports,
 /// print per-metric deltas, and exit 3 when any metric moved more than
 /// the threshold — the regression gate behind committed `BENCH_*.json`
 /// snapshots.
-fn main_bench_diff(args: Vec<String>) {
+fn main_bench_diff(args: &mut Args) -> Result<(), Usage> {
     let mut threshold = harness::DEFAULT_THRESHOLD_PCT;
     let mut full = false;
-    let mut files: Vec<String> = Vec::new();
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
+    let mut files = Vec::new();
+    while let Some(a) = args.token()? {
         match a.as_str() {
-            "--threshold" => match parse_value::<f64>(&a, it.next()) {
-                Ok(v) if v.is_finite() && v >= 0.0 => threshold = v,
-                Ok(_) => usage_error("--threshold: must be a finite, non-negative percentage"),
-                Err(m) => usage_error(&m),
-            },
+            "--threshold" => {
+                threshold = args.parse(&a)?;
+                if !(threshold.is_finite() && threshold >= 0.0) {
+                    return Err("--threshold: must be a finite, non-negative percentage".into());
+                }
+            }
             "--full" => full = true,
-            "--help" | "-h" => {
-                print_usage();
-                return;
-            }
-            other if other.starts_with('-') => {
-                usage_error(&format!("unknown bench-diff option: {other}"))
-            }
-            other => files.push(other.to_string()),
+            other if other.starts_with('-') => return Err(args.unknown(other)),
+            _ => files.push(a),
         }
     }
     if files.len() != 2 {
-        usage_error("bench-diff takes exactly: bench-diff OLD.json NEW.json");
+        return Err("bench-diff takes exactly: bench-diff OLD.json NEW.json".into());
     }
     let load = |path: &str| -> JsonValue {
         let text = match std::fs::read_to_string(path) {
@@ -960,6 +704,7 @@ fn main_bench_diff(args: Vec<String>) {
         );
         std::process::exit(3);
     }
+    Ok(())
 }
 
 /// Converts in whichever direction the input's magic bytes call for.
@@ -991,75 +736,45 @@ fn convert_any(
     }
 }
 
-fn main_serve(args: Vec<String>) {
-    let opts = match serve_cli::parse_serve_args(args) {
-        Ok(o) => o,
-        Err(msg) if msg.is_empty() => {
-            print_usage();
-            return;
-        }
-        Err(msg) => usage_error(&msg),
-    };
+fn main_serve(args: &mut Args) -> Result<(), Usage> {
+    let opts = serve_cli::parse_serve_args(args)?;
     if let Err(e) = serve_cli::run_serve(&opts) {
         eprintln!("error: {e}");
         std::process::exit(1);
     }
+    Ok(())
 }
 
-fn main_serve_client(args: Vec<String>) {
-    let opts = match serve_cli::parse_serve_client_args(args) {
-        Ok(o) => o,
-        Err(msg) if msg.is_empty() => {
-            print_usage();
-            return;
-        }
-        Err(msg) => usage_error(&msg),
-    };
+fn main_serve_client(args: &mut Args) -> Result<(), Usage> {
+    let opts = serve_cli::parse_serve_client_args(args)?;
     if let Err(e) = serve_cli::run_serve_client(&opts) {
         eprintln!("error: {e}");
         std::process::exit(1);
     }
+    Ok(())
 }
 
 /// `logs FILE [--level L] [--target PREFIX] [--follow] [--json]`: read a
 /// binary journal written by `--log` and pretty-print it (or emit one
 /// JSON object per record). `--follow` keeps polling for appended
 /// records, surviving rotation.
-fn main_logs(args: Vec<String>) {
-    let mut file: Option<String> = None;
+fn main_logs(args: &mut Args) -> Result<(), Usage> {
+    let mut file = None;
     let mut level = obs::log::Level::Debug;
-    let mut target: Option<String> = None;
+    let mut target = None;
     let mut follow = false;
     let mut json = false;
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
+    while let Some(a) = args.token()? {
         match a.as_str() {
-            "--level" => match parse_level(&a, it.next()) {
-                Ok(v) => level = v,
-                Err(m) => usage_error(&m),
-            },
-            "--target" => {
-                target = Some(match it.next() {
-                    Some(v) => v,
-                    None => usage_error("--target needs a value (a target prefix)"),
-                })
-            }
+            "--level" => level = args.level(&a)?,
+            "--target" => target = Some(args.string(&a)?),
             "--follow" | "-f" => follow = true,
             "--json" => json = true,
-            "--help" | "-h" => {
-                print_usage();
-                return;
-            }
-            other if other.starts_with('-') => {
-                usage_error(&format!("unknown logs option: {other}"))
-            }
-            other if file.is_none() => file = Some(other.to_string()),
-            other => usage_error(&format!("unexpected argument: {other}")),
+            other if other.starts_with('-') => return Err(args.unknown(other)),
+            _ => cli::once(&mut file, a)?,
         }
     }
-    let Some(file) = file else {
-        usage_error("logs needs a journal file");
-    };
+    let file = file.ok_or("logs needs a journal file")?;
     let path = std::path::Path::new(&file);
     let keep = |r: &obs::log::OwnedRecord| {
         r.level as u8 >= level as u8 && target.as_deref().is_none_or(|t| r.target.starts_with(t))
@@ -1124,107 +839,53 @@ fn main_logs(args: Vec<String>) {
         eprintln!("warning: {file}: {w}");
     }
     eprintln!("{file}: {shown} of {} records shown", outcome.records.len());
+    Ok(())
 }
 
-/// `sweep --grid SPEC|@FILE --ckpt DIR [--workers N] [--jobs N] ...`:
+/// `sweep --grid SPEC|@FILE --ckpt DIR [--workers N] [--jobs N|-jN] ...`:
 /// expand a declarative parameter grid and run every cell across worker
 /// processes, checkpointing each finished cell so an interrupted sweep
 /// resumes where it left off. The merged report is byte-identical for
 /// every worker/thread count and any interrupt/resume split.
-fn main_sweep(args: Vec<String>) {
-    let mut grid_arg: Option<String> = None;
-    let mut ckpt: Option<String> = None;
-    let mut workers: usize = 1;
-    let mut jobs: Option<usize> = None;
+fn main_sweep(args: &mut Args) -> Result<(), Usage> {
+    let mut grid_arg = None;
+    let mut ckpt = None;
+    let mut out = None;
+    let mut workers = 1usize;
+    let mut jobs = None;
     let mut pareto = false;
     let mut dry_run = false;
     let mut fresh = false;
-    let mut out: Option<String> = None;
     let mut scale = 1.0f64;
     let mut seed = 42u64;
-    let mut log: Option<String> = None;
+    let mut log = None;
     let mut log_level = obs::log::Level::Info;
-    let mut live_metrics: Option<String> = None;
+    let mut live_metrics = None;
     let mut live_interval_ms = 250u64;
-    let mut timeline: Option<String> = None;
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
+    let mut timeline = None;
+    while let Some(a) = args.token()? {
         match a.as_str() {
-            "--grid" => {
-                grid_arg = Some(match it.next() {
-                    Some(v) => v,
-                    None => usage_error("--grid needs a value (a spec or @FILE)"),
-                })
-            }
-            "--ckpt" => {
-                ckpt = Some(match it.next() {
-                    Some(v) => v,
-                    None => usage_error("--ckpt needs a value (a directory)"),
-                })
-            }
-            "--workers" => match parse_jobs(&a, it.next()) {
-                Ok(v) => workers = v,
-                Err(m) => usage_error(&m),
-            },
-            "--jobs" => match parse_jobs(&a, it.next()) {
-                Ok(v) => jobs = Some(v),
-                Err(m) => usage_error(&m),
-            },
+            "--grid" => grid_arg = Some(args.string(&a)?),
+            "--ckpt" => ckpt = Some(args.string(&a)?),
+            "--workers" => workers = args.count(&a)?,
+            "--jobs" | "-j" => jobs = Some(args.count(&a)?),
             "--pareto" => pareto = true,
             "--dry-run" => dry_run = true,
             "--fresh" => fresh = true,
-            "--out" => {
-                out = Some(match it.next() {
-                    Some(v) => v,
-                    None => usage_error("--out needs a value (a path or -)"),
-                })
-            }
-            "--scale" => match parse_value(&a, it.next()) {
-                Ok(v) => scale = v,
-                Err(m) => usage_error(&m),
-            },
-            "--seed" => match parse_value(&a, it.next()) {
-                Ok(v) => seed = v,
-                Err(m) => usage_error(&m),
-            },
-            "--log" => {
-                log = Some(match it.next() {
-                    Some(v) => v,
-                    None => usage_error("--log needs a value (a path)"),
-                })
-            }
-            "--log-level" => match parse_level(&a, it.next()) {
-                Ok(v) => log_level = v,
-                Err(m) => usage_error(&m),
-            },
-            "--live-metrics" => {
-                live_metrics = Some(match it.next() {
-                    Some(v) => v,
-                    None => usage_error("--live-metrics needs a value (a path or -)"),
-                })
-            }
-            "--live-interval-ms" => match parse_value(&a, it.next()) {
-                Ok(v) => live_interval_ms = v,
-                Err(m) => usage_error(&m),
-            },
-            "--timeline" => {
-                timeline = Some(match it.next() {
-                    Some(v) => v,
-                    None => usage_error("--timeline needs a value (a path)"),
-                })
-            }
-            "--help" | "-h" => {
-                print_usage();
-                return;
-            }
-            other => usage_error(&format!("unknown sweep option: {other}")),
+            "--out" => out = Some(args.string(&a)?),
+            "--scale" => scale = args.parse(&a)?,
+            "--seed" => seed = args.parse(&a)?,
+            "--log" => log = Some(args.string(&a)?),
+            "--log-level" => log_level = args.level(&a)?,
+            "--live-metrics" => live_metrics = Some(args.string(&a)?),
+            "--live-interval-ms" => live_interval_ms = args.count(&a)?,
+            "--timeline" => timeline = Some(args.string(&a)?),
+            other => return Err(args.unknown(other)),
         }
     }
-    let Some(grid_arg) = grid_arg else {
-        usage_error("sweep needs --grid");
-    };
+    let grid_arg = grid_arg.ok_or("sweep needs --grid")?;
     if dry_run && fresh {
-        usage_error("--dry-run and --fresh are mutually exclusive");
+        return Err("--dry-run and --fresh are mutually exclusive".into());
     }
     let spec_text = if let Some(path) = grid_arg.strip_prefix('@') {
         match std::fs::read_to_string(path) {
@@ -1239,17 +900,12 @@ fn main_sweep(args: Vec<String>) {
     };
     let mut base = RunParams::profile_default().scaled(scale);
     base.seed = seed;
-    let grid = match harness::GridSpec::parse(&spec_text, base) {
-        Ok(g) => g,
-        Err(m) => usage_error(&m),
-    };
+    let grid = harness::GridSpec::parse(&spec_text, base)?;
     if dry_run {
         print!("{}", harness::render_dry_run(&grid));
-        return;
+        return Ok(());
     }
-    let Some(ckpt) = ckpt else {
-        usage_error("sweep needs --ckpt (or --dry-run)");
-    };
+    let ckpt = ckpt.ok_or("sweep needs --ckpt (or --dry-run)")?;
     if out.as_deref() == Some("-") || live_metrics.as_deref() == Some("-") {
         TABLES_TO_STDERR.store(true, Ordering::Relaxed);
     }
@@ -1363,48 +1019,35 @@ fn main_sweep(args: Vec<String>) {
             );
         }
     }
+    Ok(())
 }
 
 /// Hidden child-process entry point: `sweep-worker --ckpt DIR --worker K
 /// --workers W --jobs J`. Spawned by `sweep`; everything it needs is in
 /// the checkpoint directory. Exits when its parent dies (stdin EOF).
-fn main_sweep_worker(args: Vec<String>) {
-    let mut ckpt: Option<String> = None;
-    let mut worker: Option<u32> = None;
-    let mut workers: Option<u32> = None;
+fn main_sweep_worker(args: &mut Args) -> Result<(), Usage> {
+    let mut ckpt = None;
+    let mut worker = None;
+    let mut workers = None;
     let mut jobs = 1usize;
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
+    while let Some(a) = args.token()? {
         match a.as_str() {
-            "--ckpt" => {
-                ckpt = Some(match it.next() {
-                    Some(v) => v,
-                    None => usage_error("--ckpt needs a value (a directory)"),
-                })
-            }
-            "--worker" => match parse_value(&a, it.next()) {
-                Ok(v) => worker = Some(v),
-                Err(m) => usage_error(&m),
-            },
-            "--workers" => match parse_value(&a, it.next()) {
-                Ok(v) => workers = Some(v),
-                Err(m) => usage_error(&m),
-            },
-            "--jobs" => match parse_jobs(&a, it.next()) {
-                Ok(v) => jobs = v,
-                Err(m) => usage_error(&m),
-            },
-            other => usage_error(&format!("unknown sweep-worker option: {other}")),
+            "--ckpt" => ckpt = Some(args.string(&a)?),
+            "--worker" => worker = Some(args.parse(&a)?),
+            "--workers" => workers = Some(args.count(&a)?),
+            "--jobs" | "-j" => jobs = args.count(&a)?,
+            other => return Err(args.unknown(other)),
         }
     }
     let (Some(ckpt), Some(worker), Some(workers)) = (ckpt, worker, workers) else {
-        usage_error("sweep-worker needs --ckpt, --worker, and --workers");
+        return Err("sweep-worker needs --ckpt, --worker, and --workers".into());
     };
     harness::sweep::spawn_orphan_watchdog();
     if let Err(e) = harness::run_sweep_worker(std::path::Path::new(&ckpt), worker, workers, jobs) {
         eprintln!("error: sweep worker {worker}: {e}");
         std::process::exit(1);
     }
+    Ok(())
 }
 
 fn print_usage() {
@@ -1432,7 +1075,7 @@ fn print_usage() {
          \x20              [--status] [--metrics] [--health] [--shutdown]\n\
          \x20      harness logs FILE [--level L] [--target PREFIX] [--follow] [--json]\n\
          \x20      harness sweep --grid SPEC|@FILE (--ckpt DIR | --dry-run)\n\
-         \x20              [--workers N] [--jobs N] [--pareto] [--out PATH|-]\n\
+         \x20              [--workers N] [--jobs N|-jN] [--pareto] [--out PATH|-]\n\
          \x20              [--fresh] [--scale F] [--seed N] [--log PATH] [--log-level L]\n\
          \x20              [--live-metrics PATH|-] [--live-interval-ms N] [--timeline PATH]\n\
          experiments: fig1 fig8 fig9 fig10 fig12 fig13 fig16 fig18a fig18b\n\

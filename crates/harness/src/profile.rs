@@ -56,7 +56,7 @@ pub fn run_profile_gated<P: ValuePredictor + ?Sized>(
 }
 
 /// Value producers a profile-mode experiment consumes: the number of
-/// instructions [`value_stream_on`] takes after filtering, the
+/// instructions `value_stream_on` takes after filtering, the
 /// [`ProfileLoop`]'s limit. Recording tools use this to size captured
 /// traces.
 pub fn profile_producers(params: RunParams) -> usize {

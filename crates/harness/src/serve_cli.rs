@@ -1,9 +1,8 @@
 //! Engine behind `harness serve` and `harness serve-client`.
 //!
-//! The thin argument loops live in `main.rs` next to the other
-//! subcommands; everything that does work — daemon startup, the
-//! trace-streaming client, and the `--selftest` harness — lives here so
-//! it can be unit- and integration-tested without spawning a process.
+//! Both subcommands' flag parsers live here next to what they configure:
+//! daemon startup, the trace-streaming client, and the `--selftest`
+//! harness, all unit- and integration-testable without spawning a process.
 //!
 //! The selftest is the round-trip oath of the serving layer: it records
 //! the profile-mode benchmark streams into a temporary trace container,
@@ -20,6 +19,7 @@ use serve::{client, ServeConfig, Server, SessionParams};
 use tracefile::TraceReader;
 use workloads::{Benchmark, SyntheticSource, TraceSource};
 
+use crate::cli::{Args, Usage};
 use crate::profile::run_profile_on;
 use crate::RunParams;
 
@@ -78,31 +78,22 @@ impl ServeOpts {
     }
 }
 
-/// Parses `harness serve` arguments. `Err` is a usage message (exit 2);
-/// the empty message means `--help`.
-pub fn parse_serve_args(args: Vec<String>) -> Result<ServeOpts, String> {
+/// Parses `harness serve` arguments.
+pub fn parse_serve_args(args: &mut Args) -> Result<ServeOpts, Usage> {
     let mut opts = ServeOpts::default();
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
+    while let Some(a) = args.token()? {
         match a.as_str() {
-            "--socket" => {
-                let v = it.next().ok_or("--socket needs a value (a path)")?;
-                opts.socket = Some(PathBuf::from(v));
-            }
+            "--socket" => opts.socket = Some(args.string(&a)?.into()),
             "--stdio" => opts.stdio = true,
             "--selftest" => opts.selftest = true,
-            "--max-sessions" => opts.max_sessions = parse_count(&a, it.next())?,
-            "--queue-depth" => opts.queue_depth = parse_count(&a, it.next())?,
-            "--global-queue" => opts.global_queue = parse_count(&a, it.next())?,
-            "--scale" => opts.scale = parse_num(&a, it.next())?,
-            "--seed" => opts.seed = parse_num(&a, it.next())?,
-            "--log" => {
-                let v = it.next().ok_or("--log needs a value (a journal path)")?;
-                opts.log = Some(PathBuf::from(v));
-            }
-            "--log-level" => opts.log_level = parse_level(&a, it.next())?,
-            "--help" | "-h" => return Err(String::new()),
-            other => return Err(format!("unknown serve option: {other}")),
+            "--max-sessions" => opts.max_sessions = args.count(&a)?,
+            "--queue-depth" => opts.queue_depth = args.count(&a)?,
+            "--global-queue" => opts.global_queue = args.count(&a)?,
+            "--scale" => opts.scale = args.parse(&a)?,
+            "--seed" => opts.seed = args.parse(&a)?,
+            "--log" => opts.log = Some(args.string(&a)?.into()),
+            "--log-level" => opts.log_level = args.level(&a)?,
+            other => return Err(args.unknown(other)),
         }
     }
     let modes = opts.socket.is_some() as u8 + opts.stdio as u8 + opts.selftest as u8;
@@ -160,9 +151,8 @@ pub struct ServeClientOpts {
     pub drift_probe: bool,
 }
 
-/// Parses `harness serve-client` arguments (same contract as
-/// [`parse_serve_args`]).
-pub fn parse_serve_client_args(args: Vec<String>) -> Result<ServeClientOpts, String> {
+/// Parses `harness serve-client` arguments.
+pub fn parse_serve_client_args(args: &mut Args) -> Result<ServeClientOpts, Usage> {
     let mut opts = ServeClientOpts {
         window: 4,
         scale: 1.0,
@@ -170,39 +160,24 @@ pub fn parse_serve_client_args(args: Vec<String>) -> Result<ServeClientOpts, Str
         ..ServeClientOpts::default()
     };
     let mut socket = None;
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
+    while let Some(a) = args.token()? {
         match a.as_str() {
-            "--socket" => {
-                let v = it.next().ok_or("--socket needs a value (a path)")?;
-                socket = Some(PathBuf::from(v));
-            }
-            "--trace" => {
-                let v = it.next().ok_or("--trace needs a value (a file path)")?;
-                opts.trace = Some(PathBuf::from(v));
-            }
-            "--stream" => {
-                let v = it
-                    .next()
-                    .ok_or("--stream needs a value (a benchmark name)")?;
-                opts.stream = Some(benchmark_named(&v)?);
-            }
-            "--session" => {
-                opts.session = Some(it.next().ok_or("--session needs a value (a name)")?)
-            }
-            "--window" => opts.window = parse_count(&a, it.next())? as u64,
-            "--warmup" => opts.warmup = Some(parse_num(&a, it.next())?),
-            "--measure" => opts.measure = Some(parse_num(&a, it.next())?),
-            "--scale" => opts.scale = parse_num(&a, it.next())?,
-            "--seed" => opts.seed = parse_num(&a, it.next())?,
+            "--socket" => socket = Some(args.string(&a)?.into()),
+            "--trace" => opts.trace = Some(args.string(&a)?.into()),
+            "--stream" => opts.stream = Some(benchmark_named(&args.string(&a)?)?),
+            "--session" => opts.session = Some(args.string(&a)?),
+            "--window" => opts.window = args.count(&a)?,
+            "--warmup" => opts.warmup = Some(args.parse(&a)?),
+            "--measure" => opts.measure = Some(args.parse(&a)?),
+            "--scale" => opts.scale = args.parse(&a)?,
+            "--seed" => opts.seed = args.parse(&a)?,
             "--status" => opts.status = true,
             "--metrics" => opts.metrics = true,
             "--health" => opts.health = true,
             "--shutdown" => opts.shutdown = true,
-            "--corrupt-chunk" => opts.corrupt_chunk = Some(parse_num(&a, it.next())?),
+            "--corrupt-chunk" => opts.corrupt_chunk = Some(args.parse(&a)?),
             "--drift-probe" => opts.drift_probe = true,
-            "--help" | "-h" => return Err(String::new()),
-            other => return Err(format!("unknown serve-client option: {other}")),
+            other => return Err(args.unknown(other)),
         }
     }
     opts.socket = socket.ok_or("serve-client needs --socket PATH")?;
@@ -223,26 +198,6 @@ pub fn parse_serve_client_args(args: Vec<String>) -> Result<ServeClientOpts, Str
         );
     }
     Ok(opts)
-}
-
-fn parse_num<T: std::str::FromStr>(flag: &str, value: Option<String>) -> Result<T, String> {
-    let v = value.ok_or_else(|| format!("{flag} needs a value"))?;
-    v.parse()
-        .map_err(|_| format!("{flag}: invalid value '{v}'"))
-}
-
-fn parse_count(flag: &str, value: Option<String>) -> Result<usize, String> {
-    let n: usize = parse_num(flag, value)?;
-    if n == 0 {
-        return Err(format!("{flag}: must be at least 1"));
-    }
-    Ok(n)
-}
-
-/// Parses a journal level name (`debug`, `info`, `warn`, `error`).
-pub fn parse_level(flag: &str, value: Option<String>) -> Result<obs::log::Level, String> {
-    let v = value.ok_or_else(|| format!("{flag} needs a value (debug|info|warn|error)"))?;
-    obs::log::Level::parse(&v).ok_or_else(|| format!("{flag}: unknown level '{v}'"))
 }
 
 /// A socket path the daemon can actually bind: its parent directory must
@@ -790,42 +745,78 @@ fn run_selftest(opts: &ServeOpts) -> Result<(), String> {
 mod tests {
     use super::*;
 
-    fn parse_s(args: &[&str]) -> Result<ServeOpts, String> {
-        parse_serve_args(args.iter().map(|s| s.to_string()).collect())
+    fn parse_s(toks: &[&str]) -> Result<ServeOpts, Usage> {
+        parse_serve_args(&mut Args::new(
+            "serve",
+            toks.iter().map(|s| s.to_string()).collect(),
+        ))
     }
 
-    fn parse_c(args: &[&str]) -> Result<ServeClientOpts, String> {
-        parse_serve_client_args(args.iter().map(|s| s.to_string()).collect())
+    fn parse_c(toks: &[&str]) -> Result<ServeClientOpts, Usage> {
+        parse_serve_client_args(&mut Args::new(
+            "serve-client",
+            toks.iter().map(|s| s.to_string()).collect(),
+        ))
+    }
+
+    /// The usage message of a rejected parse.
+    fn msg<T: std::fmt::Debug>(parsed: Result<T, Usage>) -> String {
+        match parsed {
+            Err(Usage::Error(m)) => m,
+            other => panic!("expected a usage error, got {other:?}"),
+        }
     }
 
     #[test]
     fn serve_args_require_a_mode() {
-        assert!(parse_s(&[]).is_err());
-        assert!(parse_s(&["--max-sessions", "4"]).is_err());
+        let want = "serve needs --socket PATH, --stdio, or --selftest";
+        assert_eq!(msg(parse_s(&[])), want);
+        assert_eq!(msg(parse_s(&["--max-sessions", "4"])), want);
+        assert_eq!(parse_s(&["--stdio", "--help"]).unwrap_err(), Usage::Help);
     }
 
     #[test]
     fn serve_args_reject_zero_counts_and_unknown_flags() {
-        assert!(parse_s(&["--stdio", "--max-sessions", "0"]).is_err());
-        assert!(parse_s(&["--stdio", "--queue-depth", "0"]).is_err());
-        assert!(parse_s(&["--stdio", "--global-queue", "0"]).is_err());
-        assert!(parse_s(&["--stdio", "--bogus"]).is_err());
+        for flag in ["--max-sessions", "--queue-depth", "--global-queue"] {
+            assert_eq!(
+                msg(parse_s(&["--stdio", flag, "0"])),
+                format!("{flag}: must be at least 1")
+            );
+        }
+        assert_eq!(
+            msg(parse_s(&["--stdio", "--bogus"])),
+            "unknown serve option: --bogus"
+        );
     }
 
     #[test]
     fn serve_args_modes_are_exclusive_and_socket_dir_must_exist() {
-        assert!(parse_s(&["--stdio", "--selftest"]).is_err());
-        assert!(parse_s(&["--socket", "/nonexistent-dir-xyz/d.sock"]).is_err());
+        assert!(msg(parse_s(&["--stdio", "--selftest"])).contains("mutually exclusive"));
+        assert_eq!(
+            msg(parse_s(&["--socket", "/nonexistent-dir-xyz/d.sock"])),
+            "--socket: directory /nonexistent-dir-xyz does not exist"
+        );
         let ok = parse_s(&["--selftest", "--scale", "0.05", "--seed", "7"]).unwrap();
         assert!(ok.selftest);
+        assert_eq!(ok.scale, 0.05);
         assert_eq!(ok.seed, 7);
     }
 
     #[test]
     fn client_args_require_socket_and_an_action() {
-        assert!(parse_c(&["--status"]).is_err());
-        assert!(parse_c(&["--socket", "/tmp/d.sock"]).is_err());
-        assert!(parse_c(&["--socket", "/tmp/d.sock", "--stream", "nope"]).is_err());
+        assert_eq!(
+            msg(parse_c(&["--status"])),
+            "serve-client needs --socket PATH"
+        );
+        assert!(msg(parse_c(&["--socket", "/tmp/d.sock"])).contains("needs something to do"));
+        assert!(
+            msg(parse_c(&["--socket", "/tmp/d.sock", "--stream", "nope"]))
+                .starts_with("--stream: unknown benchmark 'nope'")
+        );
+        assert_eq!(
+            msg(parse_c(&["--socket", "/tmp/d.sock", "--window", "0"])),
+            "--window: must be at least 1"
+        );
         let ok = parse_c(&[
             "--socket",
             "/tmp/d.sock",
@@ -835,6 +826,7 @@ mod tests {
             "8",
         ])
         .unwrap();
+        assert_eq!(ok.socket, Path::new("/tmp/d.sock"));
         assert_eq!(ok.stream, Some(Benchmark::Gcc));
         assert_eq!(ok.window, 8);
         assert!(parse_c(&["--socket", "/tmp/d.sock", "--shutdown"]).is_ok());
@@ -845,22 +837,31 @@ mod tests {
         let ok = parse_s(&["--stdio", "--log", "/tmp/j.journal", "--log-level", "debug"]).unwrap();
         assert_eq!(ok.log.as_deref(), Some(Path::new("/tmp/j.journal")));
         assert_eq!(ok.log_level, obs::log::Level::Debug);
-        assert!(parse_s(&["--stdio", "--log-level", "loud"]).is_err());
-        assert!(parse_s(&["--stdio", "--log"]).is_err());
+        assert_eq!(
+            msg(parse_s(&["--stdio", "--log-level", "loud"])),
+            "--log-level: unknown level 'loud'"
+        );
+        assert_eq!(msg(parse_s(&["--stdio", "--log"])), "--log needs a value");
     }
 
     #[test]
     fn client_args_probe_and_corruption_flags() {
         // Stream modes stay mutually exclusive; corruption needs a stream.
-        assert!(parse_c(&[
+        assert!(msg(parse_c(&[
             "--socket",
             "/tmp/d.sock",
             "--drift-probe",
             "--stream",
             "gcc"
-        ])
-        .is_err());
-        assert!(parse_c(&["--socket", "/tmp/d.sock", "--corrupt-chunk", "0"]).is_err());
+        ]))
+        .contains("mutually exclusive"));
+        assert!(msg(parse_c(&[
+            "--socket",
+            "/tmp/d.sock",
+            "--corrupt-chunk",
+            "0"
+        ]))
+        .contains("needs a stream to corrupt"));
         let ok = parse_c(&[
             "--socket",
             "/tmp/d.sock",

@@ -84,6 +84,21 @@ fn explain_args_are_validated() {
 fn unknown_subcommand_flags_are_rejected() {
     assert_usage_error(&["record", "-q", "fig1"], "unknown record option: -q");
     assert_usage_error(&["replay", "-q", "x.bin"], "unknown replay option: -q");
+    assert_usage_error(
+        &["export-metrics", "-q", "fig1"],
+        "unknown export-metrics option: -q",
+    );
+    assert_usage_error(
+        &["record", "--out", "x.bin", "-j4", "fig1"],
+        "unknown record option: -j4",
+    );
+}
+
+#[test]
+fn subcommand_positionals_are_counted() {
+    assert_usage_error(&["record", "fig1"], "record needs --out FILE");
+    assert_usage_error(&["replay", "x.bin", "y.bin"], "unexpected argument: y.bin");
+    assert_usage_error(&["convert", "a", "b", "c"], "convert takes exactly");
 }
 
 #[test]
@@ -157,6 +172,28 @@ fn help_exits_zero() {
     let out = run(&["--help"]);
     assert!(out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("usage:"));
+    for cmd in [
+        "record",
+        "replay",
+        "convert",
+        "explain",
+        "export-metrics",
+        "bench-diff",
+        "serve",
+        "serve-client",
+        "logs",
+        "sweep",
+        "sweep-worker",
+    ] {
+        for help in ["--help", "-h"] {
+            let out = run(&[cmd, help]);
+            assert!(out.status.success(), "{cmd} {help} must exit 0");
+            assert!(
+                String::from_utf8_lossy(&out.stderr).contains("usage:"),
+                "{cmd} {help} must print usage"
+            );
+        }
+    }
 }
 
 #[test]
@@ -169,6 +206,13 @@ fn attached_jobs_flag_parses() {
         String::from_utf8_lossy(&out.stderr)
     );
     assert!(String::from_utf8_lossy(&out.stdout).contains("Figure 1"));
+    // -j is the alias of --jobs wherever --jobs exists, sweep included.
+    let out = run(&["sweep", "--grid", "order=4;bench=gcc", "-j2", "--dry-run"]);
+    assert!(
+        out.status.success(),
+        "sweep -j2 must be accepted: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 }
 
 #[test]
@@ -259,6 +303,19 @@ fn sweep_args_are_validated() {
         &["sweep", "--grid", "order=4", "--unknown"],
         "unknown sweep option",
     );
+    // Count flags reject 0 in sweep as in the run path, rather than the
+    // sampler silently clamping the period.
+    assert_usage_error(
+        &[
+            "sweep",
+            "--grid",
+            "order=4",
+            "--dry-run",
+            "--live-interval-ms",
+            "0",
+        ],
+        "at least 1",
+    );
 }
 
 #[test]
@@ -309,5 +366,17 @@ fn sweep_worker_args_are_validated() {
     assert_usage_error(
         &["sweep-worker", "--ckpt", "/tmp/x", "--worker", "no"],
         "invalid value 'no'",
+    );
+    assert_usage_error(
+        &[
+            "sweep-worker",
+            "--ckpt",
+            "/tmp/x",
+            "--worker",
+            "0",
+            "--workers",
+            "0",
+        ],
+        "at least 1",
     );
 }
